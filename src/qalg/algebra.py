@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from typing import Sequence
 
 from .errors import (
@@ -19,9 +20,24 @@ from .errors import (
     NotAnIdealError,
     ValidationError,
 )
-from .linalg import Mat, as_vector, kernel_basis, rat, rat_from_str, rat_to_str, rref, solve_linear
+from .linalg import Mat, as_vector, kernel_basis, rat, rat_from_str, rat_to_str, rref
 
 Vec = tuple[Fraction, ...]
+
+
+def _memoized(fn):
+    """Keep fn(a) in a's memo, so a result lives exactly as long as its
+    algebra and is shared only by calls on that same object."""
+    key = fn.__qualname__
+
+    @wraps(fn)
+    def memoized(a):
+        memo = a._memo
+        if key not in memo:
+            memo[key] = fn(a)
+        return memo[key]
+
+    return memoized
 
 
 class Subspace:
@@ -39,7 +55,7 @@ class Subspace:
             m = Mat(rows) if rows else Mat.zeros(0, ambient_dim)
         if m.cols != ambient_dim and m.rows > 0:
             raise ValueError("vector length does not match the ambient dimension")
-        ech, pivots = rref(m if m.rows else Mat.zeros(0, ambient_dim))
+        ech, pivots = rref(m)
         kept = [ech.data[i] for i in range(len(pivots))]
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", Mat(kept) if kept else Mat.zeros(0, ambient_dim))
@@ -90,7 +106,7 @@ class Subspace:
 class FDAlgebra:
     """Associative unital algebra over Q given by structure constants."""
 
-    __slots__ = ("dim", "structure", "unit", "_hash", "_center")
+    __slots__ = ("dim", "structure", "unit", "_hash", "_memo")
 
     def __init__(self, structure: Sequence[Sequence[Sequence]], unit: Sequence):
         dim = len(structure)
@@ -105,7 +121,7 @@ class FDAlgebra:
         object.__setattr__(self, "structure", tuple(table))
         object.__setattr__(self, "unit", as_vector(unit, dim))
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_center", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FDAlgebra is immutable")
@@ -238,20 +254,15 @@ class FDAlgebra:
         s = self.structure
         return all(s[i][j] == s[j][i] for i in range(self.dim) for j in range(i))
 
+    @_memoized
     def center(self) -> Subspace:
         """Elements commuting with the whole algebra, as a subspace."""
-        cached = self._center
-        if cached is not None:
-            return cached
         blocks = []
         for j in range(self.dim):
             ej = self.basis_element(j)
             diff = self.left_regular_matrix(ej) - self.right_regular_matrix(ej)
             blocks.extend(diff.data)
-        ker = kernel_basis(Mat(blocks))
-        out = Subspace(self.dim, ker)
-        object.__setattr__(self, "_center", out)
-        return out
+        return Subspace(self.dim, kernel_basis(Mat(blocks)))
 
     # -- serialization -------------------------------------------------------
 
@@ -334,6 +345,7 @@ class QuotientPresentation:
 def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
     """Quotient of a by a proper two-sided ideal given as a subspace.
 
+    The zero ideal gives a itself, with identity projection and section.
     Raises NotAnIdealError when the subspace is not a two-sided ideal, and
     ValueError when the ideal is the whole algebra (the quotient would be
     zero-dimensional, which is outside this package's algebra type).
@@ -348,35 +360,20 @@ def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
     if n.dim == a.dim:
         raise ValueError("ideal is the whole algebra; quotient would have dimension 0")
 
-    # Pivot-greedy completion: extend the ideal basis by standard basis
-    # vectors in index order.
-    echelon: list[tuple[int, list[Fraction]]] = [
-        (p, list(row)) for p, row in zip(n.pivots, n.basis.data)
-    ]
-    complement: list[int] = []
-    for i in range(a.dim):
-        w = [Fraction(0)] * a.dim
-        w[i] = Fraction(1)
-        for p, row in echelon:
-            c = w[p]
-            if c != 0:
-                for idx in range(a.dim):
-                    w[idx] -= c * row[idx]
-        lead = next((idx for idx, x in enumerate(w) if x != 0), None)
-        if lead is None:
-            continue
-        inv = Fraction(1) / w[lead]
-        w = [x * inv for x in w]
-        echelon.append((lead, w))
-        echelon.sort(key=lambda pr: pr[0])
-        complement.append(i)
+    if n.dim == 0:
+        identity = Mat.identity(a.dim)
+        return QuotientPresentation(
+            algebra=a, ideal=n, quotient=a, projection=identity, section=identity
+        )
+
+    # The rref's rows span the annihilator of n, so it is the projection with
+    # kernel n fixing the basis vectors at its pivots, which are the ones a
+    # greedy extension of n's basis in index order would keep.
+    projection, complement = rref(kernel_basis(n.basis))
     qdim = len(complement)
     assert qdim == a.dim - n.dim
 
     comp_rows = [a.basis_element(i) for i in complement]
-    basis_change = Mat(list(comp_rows) + list(n.basis.data)).transpose()
-    inverse = solve_linear(basis_change, Mat.identity(a.dim))
-    projection = Mat(inverse.data[:qdim])
     section = Mat(comp_rows).transpose()
 
     structure = []

@@ -15,6 +15,7 @@ from typing import Iterator, Sequence
 
 from .errors import NotDivisorError, RankNotRealizableError, UnknownIndexError
 from .linalg import rat, rat_to_str
+from .polyfactor import is_prime
 from .structure import WedderburnReport
 
 KINDS = ("exact", "upper", "strict_upper", "conjectural_exact", "minus_infinity")
@@ -82,19 +83,6 @@ class Partition:
 
     def square_sum(self) -> int:
         return sum(p * p for p in self.parts)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def prime_factors(n: int) -> tuple[int, ...]:

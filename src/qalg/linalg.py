@@ -78,15 +78,14 @@ class Mat:
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
         zero = Fraction(0)
-        return Mat([[zero] * cols for _ in range(rows)])
+        out = Mat([[zero] * cols for _ in range(rows)])
+        # With no rows the data cannot carry the width.
+        object.__setattr__(out, "cols", cols)
+        return out
 
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "Mat":
-        return Mat(rows)
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
@@ -133,6 +132,8 @@ class Mat:
         return Mat(out)
 
     def transpose(self) -> "Mat":
+        if not self.cols:
+            return Mat.zeros(0, self.rows)
         return Mat([self.col(j) for j in range(self.cols)])
 
     def shape(self) -> tuple[int, int]:
@@ -157,6 +158,8 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
+        if not self.rows:
+            return Mat.zeros(0, self.cols + other.cols)
         return Mat([r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
     def vstack(self, other: "Mat") -> "Mat":

@@ -2,7 +2,12 @@
 
 Lifting refines p to 3p^2 - 2p^3, which squares the error term p^2 - p inside
 the nilpotent ideal, so at most ceil(log2(nilpotency index)) passes are ever
-needed. A projective right module is presented by an idempotent matrix P over
+needed. Elements and k x k matrices over the algebra A go through the same
+refinement loop: a matrix is held as a flat vector in the (p, q, t) coordinate
+order of matrix_over(A, k) and multiplied block by block with A.multiply,
+without building that algebra's dim^3 structure tensor.
+
+A projective right module is presented by an idempotent matrix P over
 the algebra; its image in each simple factor of the semisimple quotient has a
 well-defined rational rank, and two presentations give isomorphic modules
 exactly when their rank vectors agree.
@@ -28,44 +33,47 @@ from .structure import (
 AMatEntries = tuple[tuple[Vec, ...], ...]
 
 
-def _vec_add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y))
+def _flatten(entries: AMatEntries) -> Vec:
+    """Coordinates of a square matrix over an algebra, ordered like the
+    basis E_pq tensor b_t of matrix_over(algebra, size): by (p, q, t)."""
+    return tuple(c for row in entries for entry in row for c in entry)
 
 
-def _vec_scale(c: Fraction, x: Vec) -> Vec:
-    return tuple(c * a for a in x)
-
-
-def amat_entries(a: FDAlgebra, rows: Sequence[Sequence[Sequence]]) -> AMatEntries:
-    size = len(rows)
-    out = []
-    for row in rows:
-        if len(row) != size:
-            raise ValueError("algebra-valued matrix must be square")
-        out.append(tuple(a.element(entry) for entry in row))
-    return tuple(out)
-
-
-def amat_mul(a: FDAlgebra, x: AMatEntries, y: AMatEntries) -> AMatEntries:
-    size = len(x)
-    out = []
-    for u in range(size):
-        row = []
-        for v in range(size):
-            acc = a.zero()
-            for w in range(size):
-                acc = _vec_add(acc, a.multiply(x[u][w], y[w][v]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def amat_combine(coeff_x: int, x: AMatEntries, coeff_y: int, y: AMatEntries) -> AMatEntries:
-    cx, cy = Fraction(coeff_x), Fraction(coeff_y)
+def _unflatten(x: Vec, size: int, dim: int) -> AMatEntries:
     return tuple(
-        tuple(_vec_add(_vec_scale(cx, ex), _vec_scale(cy, ey)) for ex, ey in zip(rx, ry))
-        for rx, ry in zip(x, y)
+        tuple(x[(p * size + q) * dim : (p * size + q + 1) * dim] for q in range(size))
+        for p in range(size)
     )
+
+
+def _matrix_product(a: FDAlgebra, size: int, x: Vec, y: Vec) -> Vec:
+    """Product of two flat matrices over a, computed block by block with
+    a.multiply; equal to matrix_over(a, size).multiply(x, y)."""
+    d = a.dim
+    xs, ys = _unflatten(x, size, d), _unflatten(y, size, d)
+    out = []
+    for p in range(size):
+        for q in range(size):
+            acc = [Fraction(0)] * d
+            for r in range(size):
+                for t, c in enumerate(a.multiply(xs[p][r], ys[r][q])):
+                    acc[t] += c
+            out.extend(acc)
+    return tuple(out)
+
+
+def _refine(mul, p: Vec, bound: int) -> tuple[Vec, int]:
+    """Apply p -> 3p^2 - 2p^3 until p is idempotent under mul, returning it
+    and the number of passes; more than bound passes is an internal error."""
+    steps = 0
+    while True:
+        sq = mul(p, p)
+        if sq == p:
+            return p, steps
+        if steps >= bound:
+            raise AssertionError("idempotent refinement exceeded its guaranteed bound")
+        p = tuple(3 * b - 2 * c for b, c in zip(sq, mul(sq, p)))
+        steps += 1
 
 
 class IdempotentMatrix:
@@ -75,11 +83,15 @@ class IdempotentMatrix:
     __slots__ = ("algebra", "size", "entries")
 
     def __init__(self, algebra: FDAlgebra, entries: Sequence[Sequence[Sequence]]):
-        ents = amat_entries(algebra, entries)
-        if amat_mul(algebra, ents, ents) != ents:
+        size = len(entries)
+        if any(len(row) != size for row in entries):
+            raise ValueError("algebra-valued matrix must be square")
+        ents = tuple(tuple(algebra.element(entry) for entry in row) for row in entries)
+        flat = _flatten(ents)
+        if _matrix_product(algebra, size, flat, flat) != flat:
             raise NotIdempotentError("matrix is not idempotent over the algebra")
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "size", len(ents))
+        object.__setattr__(self, "size", size)
         object.__setattr__(self, "entries", ents)
 
     def __setattr__(self, name, value):
@@ -135,20 +147,9 @@ class ProjectiveModuleDescriptor:
     uniform_rank: Fraction | None
 
 
-def _check_nilpotent_ideal(qp: QuotientPresentation) -> int:
-    return _ideal_nilpotency_index(qp.algebra, qp.ideal)
-
-
-def _refine_idempotent_element(a: FDAlgebra, p: Vec, max_steps: int) -> tuple[Vec, int]:
-    steps = 0
-    while a.multiply(p, p) != p:
-        if steps >= max_steps:
-            raise AssertionError("idempotent refinement exceeded its guaranteed bound")
-        p2 = a.multiply(p, p)
-        p3 = a.multiply(p2, p)
-        p = tuple(3 * b - 2 * c for b, c in zip(p2, p3))
-        steps += 1
-    return p, steps
+def _refinement_bound(qp: QuotientPresentation) -> int:
+    """ceil(log2) of the ideal's nilpotency index: the most passes needed."""
+    return (_ideal_nilpotency_index(qp.algebra, qp.ideal) - 1).bit_length()
 
 
 def lift_idempotent_with_count(q: Sequence, qp: QuotientPresentation) -> tuple[Vec, int]:
@@ -157,9 +158,8 @@ def lift_idempotent_with_count(q: Sequence, qp: QuotientPresentation) -> tuple[V
     q = qp.quotient.element(q)
     if not qp.quotient.is_idempotent(q):
         raise NotIdempotentError("element is not idempotent in the quotient")
-    index = _check_nilpotent_ideal(qp)
-    bound = (index - 1).bit_length()
-    p, steps = _refine_idempotent_element(qp.algebra, qp.lift(q), bound)
+    bound = _refinement_bound(qp)
+    p, steps = _refine(qp.algebra.multiply, qp.lift(q), bound)
     assert qp.project(p) == q
     return p, steps
 
@@ -181,9 +181,8 @@ def refine_to_idempotent(qp: QuotientPresentation, p: Sequence) -> tuple[Vec, in
     q = qp.project(p)
     if not qp.quotient.is_idempotent(q):
         raise NotIdempotentError("element is not idempotent modulo the ideal")
-    index = _check_nilpotent_ideal(qp)
-    bound = (index - 1).bit_length()
-    out, steps = _refine_idempotent_element(a, p, bound)
+    bound = _refinement_bound(qp)
+    out, steps = _refine(a.multiply, p, bound)
     assert qp.project(out) == q
     return out, steps
 
@@ -193,22 +192,14 @@ def lift_idempotent_matrix(q: IdempotentMatrix, qp: QuotientPresentation) -> Ide
     idempotent over the ambient algebra."""
     if q.algebra != qp.quotient:
         raise AlgebraMismatchError("matrix is not defined over the quotient algebra")
-    index = _check_nilpotent_ideal(qp)
-    bound = (index - 1).bit_length()
+    bound = _refinement_bound(qp)
     a = qp.algebra
-    current: AMatEntries = tuple(
-        tuple(qp.lift(entry) for entry in row) for row in q.entries
-    )
-    steps = 0
-    while amat_mul(a, current, current) != current:
-        if steps >= bound:
-            raise AssertionError("matrix refinement exceeded its guaranteed bound")
-        sq = amat_mul(a, current, current)
-        cube = amat_mul(a, sq, current)
-        current = amat_combine(3, sq, -2, cube)
-        steps += 1
-    for u in range(q.size):
-        for v in range(q.size):
+    size = q.size
+    start = _flatten([[qp.lift(entry) for entry in row] for row in q.entries])
+    flat, _ = _refine(lambda x, y: _matrix_product(a, size, x, y), start, bound)
+    current = _unflatten(flat, size, a.dim)
+    for u in range(size):
+        for v in range(size):
             assert qp.project(current[u][v]) == q.entries[u][v]
     return IdempotentMatrix(a, current)
 

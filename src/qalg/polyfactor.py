@@ -244,7 +244,7 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     return [_gf_monic(u, p) for u in factors]
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     if n % 2 == 0:
@@ -260,7 +260,7 @@ def _is_prime(n: int) -> bool:
 def _odd_primes():
     q = 3
     while True:
-        if _is_prime(q):
+        if is_prime(q):
             yield q
         q += 2
 
@@ -272,7 +272,7 @@ def factor_mod_p(p: Poly, prime: int) -> list[Poly]:
     coefficient denominator, or when p is not squarefree mod prime. The
     caller is expected to retry with the next prime.
     """
-    if not _is_prime(prime):
+    if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")

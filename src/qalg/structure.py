@@ -5,13 +5,17 @@ trace criterion exact); the semisimple quotient is then split into simple
 factors by refining central idempotents until every block center is certified
 to be a field. All searches walk deterministic candidate lists, so repeated
 runs produce identical reports.
+
+A semisimple algebra's zero radical has the algebra itself as its quotient,
+not a copy. Radical, Wedderburn and central idempotent results are memoized
+on the algebra object, so they are released with it and an equal but
+distinct algebra computes its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -20,6 +24,7 @@ from .algebra import (
     QuotientPresentation,
     Subspace,
     Vec,
+    _memoized,
     quotient_by_ideal,
     subalgebra_on,
 )
@@ -83,7 +88,7 @@ def _ideal_nilpotency_index(a: FDAlgebra, n: Subspace) -> int:
     return t
 
 
-@cache
+@_memoized
 def jacobson_radical(a: FDAlgebra) -> RadicalReport:
     """Radical as the kernel of the trace form B(x, y) = tr(L_{xy})."""
     n = a.dim
@@ -174,7 +179,7 @@ def _partial_fraction_idempotents(
     return out
 
 
-@cache
+@_memoized
 def central_primitive_idempotents(s: FDAlgebra) -> tuple[Vec, ...]:
     """Central primitive idempotents of a semisimple algebra.
 
@@ -294,7 +299,7 @@ def try_matrix_size(factor: FDAlgebra) -> int | None:
     return _matrix_size_search(factor)
 
 
-@cache
+@_memoized
 def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
     """Simple factor data for the semisimple quotient of a."""
     report = jacobson_radical(a)

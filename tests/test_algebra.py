@@ -323,6 +323,9 @@ class TestQuotients:
         qp = quotient_by_ideal(a, Subspace(4, []))
         assert qp.quotient.dim == 4
         assert qp.project(a.unit) == qp.quotient.unit
+        assert qp.quotient is a
+        assert qp.projection == Mat.identity(4)
+        assert qp.section == Mat.identity(4)
 
     def test_dual_numbers_modulo_nilpotents(self):
         d = dual_numbers()

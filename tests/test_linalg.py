@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qalg.algebra import Subspace
 from qalg.errors import NoSolutionError
 from qalg.linalg import (
     Mat,
@@ -220,3 +221,21 @@ class TestMatBasics:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             Mat([[1, 2], [3]])
+
+
+class TestZeroRows:
+    def test_zero_row_matrix_keeps_its_width(self):
+        m = Mat.zeros(0, 3)
+        assert m.shape() == (0, 3)
+        assert m.transpose().shape() == (3, 0)
+        assert m.hstack(Mat.zeros(0, 2)).shape() == (0, 5)
+        assert Mat.zeros(3, 0).transpose().shape() == (0, 3)
+
+    def test_kernel_of_no_equations_is_everything(self):
+        assert kernel_basis(Mat.zeros(0, 3)) == Mat.identity(3)
+
+    def test_solution_of_no_equations_has_full_shape(self):
+        assert solve_linear(Mat.zeros(0, 2), Mat.zeros(0, 1)) == Mat.zeros(2, 1)
+
+    def test_zero_subspace_basis_has_ambient_width(self):
+        assert Subspace(3, []).basis.shape() == (0, 3)

@@ -1,5 +1,6 @@
 """Tests for idempotent lifting and projective-module rank data."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from qalg.errors import (
 )
 from qalg.modules import (
     IdempotentMatrix,
+    _matrix_product,
     lift_idempotent,
     lift_idempotent_matrix,
     lift_idempotent_with_count,
@@ -176,6 +178,37 @@ class TestLiftIdempotentMatrix:
         for u in range(2):
             for v in range(2):
                 assert qp.project(lifted.entries[u][v]) == q.entries[u][v]
+
+
+    def test_lift_that_needs_one_refinement_pass(self):
+        # Dual numbers on the basis e0 = 1 + t, e1 = t: the section lifts the
+        # class of 1 to e0, and e0 * e0 = e0 + e1 is not idempotent.
+        a = FDAlgebra([[(1, 1), (0, 1)], [(0, 1), (0, 0)]], (1, -1))
+        a.validate()
+        qp = radical_quotient(a)
+        assert jacobson_radical(a).nilpotency_index == 2
+        one, zero = qp.quotient.unit, qp.quotient.zero()
+        q = IdempotentMatrix(qp.quotient, [[one, zero], [zero, one]])
+        start = tuple(tuple(qp.lift(e) for e in row) for row in q.entries)
+        assert start[0][0] == (1, 0)
+        lifted = lift_idempotent_matrix(q, qp)
+        # The bound ceil(log2 2) = 1 allows one pass, and the result differs
+        # from the start, so exactly one pass ran.
+        assert lifted.entries != start
+        assert lifted == IdempotentMatrix.diagonal(a, [(1, -1), (1, -1)])
+
+
+class TestMatrixProduct:
+    @pytest.mark.parametrize(
+        "base", [dual_numbers(), upper_triangular(2)], ids=["dual_numbers", "upper_triangular_2"]
+    )
+    def test_block_product_matches_matrix_over(self, base):
+        oracle = matrix_over(base, 2)
+        rng = random.Random(11)
+        for _ in range(10):
+            x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(oracle.dim))
+            y = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(oracle.dim))
+            assert _matrix_product(base, 2, x, y) == oracle.multiply(x, y)
 
 
 class TestIdempotentMatrixType:

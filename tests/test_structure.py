@@ -3,6 +3,8 @@ decomposition. Cross-checks use independent oracles: nilpotency by direct
 subspace powering (corpus.nilpotency_oracle) and a trace-form Gram matrix
 recomputed from scratch inside the tests."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -248,3 +250,23 @@ class TestWedderburn:
         w = wedderburn_decomposition(matrix_over(dual_numbers(), 2))
         f = w.factors[0]
         assert (f.factor_dim, f.center_dim, f.degree_over_center, f.matrix_size) == (4, 1, 2, 2)
+
+
+class TestMemo:
+    def test_results_are_memoized_on_the_algebra_object(self):
+        a = upper_triangular(3)
+        b = upper_triangular(3)
+        assert a == b and a is not b
+        assert jacobson_radical(a) is jacobson_radical(a)
+        assert jacobson_radical(b) is not jacobson_radical(a)
+        assert jacobson_radical(b) == jacobson_radical(a)
+        assert wedderburn_decomposition(a) is wedderburn_decomposition(a)
+        assert wedderburn_decomposition(b) is not wedderburn_decomposition(a)
+
+    def test_memoized_report_is_released_with_its_algebra(self):
+        a = upper_triangular(3)
+        report = weakref.ref(jacobson_radical(a))
+        assert report() is not None
+        del a
+        gc.collect()
+        assert report() is None
