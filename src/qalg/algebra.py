@@ -26,15 +26,17 @@ Vec = tuple[Fraction, ...]
 
 
 def _memoized(fn):
-    """Keep fn(a) in a's memo, so a result lives exactly as long as its
-    algebra and is shared only by calls on that same object."""
-    key = fn.__qualname__
+    """Keep fn(a, *args) in a's memo under (name, *args), so a result lives
+    exactly as long as its algebra and is shared only by calls on that same
+    object with equal arguments. A raised exception is not memoized."""
+    name = fn.__qualname__
 
     @wraps(fn)
-    def memoized(a):
+    def memoized(a, *args):
+        key = (name, *args)
         memo = a._memo
         if key not in memo:
-            memo[key] = fn(a)
+            memo[key] = fn(a, *args)
         return memo[key]
 
     return memoized
@@ -68,21 +70,26 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def contains(self, v: Sequence) -> bool:
-        w = list(as_vector(v, self.ambient_dim))
+    def _residue(self, v: Sequence) -> tuple[Vec, list[Fraction]]:
+        """v as a vector, and what is left of it after reduction by the basis."""
+        vv = as_vector(v, self.ambient_dim)
+        w = list(vv)
         for row, p in zip(self.basis.data, self.pivots):
             c = w[p]
             if c != 0:
                 for idx in range(self.ambient_dim):
                     w[idx] -= c * row[idx]
-        return all(x == 0 for x in w)
+        return vv, w
+
+    def contains(self, v: Sequence) -> bool:
+        return not any(self._residue(v)[1])
 
     def coordinates(self, v: Sequence) -> Vec:
         """Coordinates of v in the echelon basis. Raises ValueError when v
         is outside the subspace; with a reduced echelon basis the coordinates
         are just the pivot entries."""
-        vv = as_vector(v, self.ambient_dim)
-        if not self.contains(vv):
+        vv, residue = self._residue(v)
+        if any(residue):
             raise ValueError("vector lies outside the subspace")
         return tuple(vv[p] for p in self.pivots)
 
@@ -256,13 +263,12 @@ class FDAlgebra:
 
     @_memoized
     def center(self) -> Subspace:
-        """Elements commuting with the whole algebra, as a subspace."""
-        blocks = []
-        for j in range(self.dim):
-            ej = self.basis_element(j)
-            diff = self.left_regular_matrix(ej) - self.right_regular_matrix(ej)
-            blocks.extend(diff.data)
-        return Subspace(self.dim, kernel_basis(Mat(blocks)))
+        """Elements commuting with the whole algebra, as a subspace: the
+        kernel of z -> z*e_j - e_j*z over all j, one row per (j, k)."""
+        n = self.dim
+        s = self.structure
+        rows = [[s[j][i][k] - s[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
+        return Subspace(n, kernel_basis(Mat(rows)))
 
     # -- serialization -------------------------------------------------------
 
@@ -305,19 +311,21 @@ def subalgebra_on(a: FDAlgebra, sub: Subspace, unit_vec: Sequence) -> FDAlgebra:
     if sub.ambient_dim != a.dim:
         raise AlgebraMismatchError("subspace does not live in the algebra")
     unit_vec = as_vector(unit_vec, a.dim)
-    if not sub.contains(unit_vec):
-        raise ValueError("designated unit lies outside the subspace")
+    try:
+        unit = sub.coordinates(unit_vec)
+    except ValueError:
+        raise ValueError("designated unit lies outside the subspace") from None
     rows = sub.vectors()
     structure = []
     for bi in rows:
         row = []
         for bj in rows:
-            prod = a.multiply(bi, bj)
-            if not sub.contains(prod):
-                raise ValueError("subspace is not closed under multiplication")
-            row.append(sub.coordinates(prod))
+            try:
+                row.append(sub.coordinates(a.multiply(bi, bj)))
+            except ValueError:
+                raise ValueError("subspace is not closed under multiplication") from None
         structure.append(row)
-    return FDAlgebra(structure, sub.coordinates(unit_vec))
+    return FDAlgebra(structure, unit)
 
 
 @dataclass(frozen=True)

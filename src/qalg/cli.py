@@ -301,6 +301,9 @@ def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
     a = validated_algebra(args.file)
     if args.d < 1:
         raise input_error("--d must be a positive integer")
+    r = parse_rational_flag(args.rank, "--rank") if args.rank is not None else None
+    if r is not None and r <= 0:
+        raise input_error("--rank must be positive")
     w = wedderburn_decomposition(a)
     asserted: list[int | None] | None = None
     if args.assert_index:
@@ -317,7 +320,6 @@ def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
                     f"--assert-index names factor {pos} but there are only {len(w.factors)} factors"
                 )
             asserted[pos] = idx
-    r = parse_rational_flag(args.rank, "--rank") if args.rank is not None else None
     try:
         report = bound_from_wedderburn(w, args.d, asserted_indices=asserted, r=r)
     except (QalgError, ValueError) as exc:

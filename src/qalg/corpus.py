@@ -23,10 +23,9 @@ from .algebra import (
     quaternions,
     upper_triangular,
 )
-from .errors import NotAnIdealError
+from .errors import NotAnIdealError, NotNilpotentError
 from .linalg import Mat, kernel_basis, rref
 from .modules import ProjectiveModuleDescriptor
-from .structure import _ideal_nilpotency_index
 
 
 def cyclic_table(n: int) -> list[list[int]]:
@@ -208,7 +207,17 @@ def nilpotency_oracle(a: FDAlgebra, n: Subspace) -> int:
             e = a.basis_element(i)
             if not n.contains(a.multiply(e, u)) or not n.contains(a.multiply(u, e)):
                 raise NotAnIdealError("subspace is not a two-sided ideal")
-    return _ideal_nilpotency_index(a, n)
+    # Rows spanning n^t. For an ideal n^(t+1) lies in n^t, so equal rank
+    # means the powers have stopped at a nonzero subspace.
+    power = list(n.vectors())
+    t = 1
+    while power:
+        ech, pivots = rref(Mat([a.multiply(x, y) for x in power for y in n.vectors()]))
+        if len(pivots) == len(power):
+            raise NotNilpotentError("ideal powers stabilize at a nonzero subspace")
+        power = ech.data[: len(pivots)]
+        t += 1
+    return t
 
 
 def _module_basis(m: ProjectiveModuleDescriptor) -> Mat:

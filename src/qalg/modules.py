@@ -11,6 +11,12 @@ A projective right module is presented by an idempotent matrix P over
 the algebra; its image in each simple factor of the semisimple quotient has a
 well-defined rational rank, and two presentations give isomorphic modules
 exactly when their rank vectors agree.
+
+Ranks are traces of idempotents (the Hattori-Stallings rank). With P' the
+presentation projected to the semisimple quotient s and e the central
+idempotent of a factor F = e*s, X -> e*P'*X is an idempotent linear map on
+s^size with image P' * F^size, so that image has dimension equal to the map's
+trace, sum_u tr(L_{e * P'_uu}); dividing by dim F gives the rank.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import FDAlgebra, QuotientPresentation, Subspace, Vec, subalgebra_on
+from .algebra import FDAlgebra, QuotientPresentation, Vec, subalgebra_on
 from .errors import AlgebraMismatchError, NotIdempotentError, UnknownIndexError
-from .linalg import Mat, rank, rat_from_str, rat_to_str
+from .linalg import rat_from_str, rat_to_str
 from .structure import (
     WedderburnReport,
+    _basis_traces,
     _corner_subspace,
     _ideal_nilpotency_index,
     jacobson_radical,
@@ -148,7 +155,8 @@ class ProjectiveModuleDescriptor:
 
 
 def _refinement_bound(qp: QuotientPresentation) -> int:
-    """ceil(log2) of the ideal's nilpotency index: the most passes needed."""
+    """ceil(log2) of the ideal's nilpotency index (memoized on the algebra):
+    the most passes needed."""
     return (_ideal_nilpotency_index(qp.algebra, qp.ideal) - 1).bit_length()
 
 
@@ -204,60 +212,24 @@ def lift_idempotent_matrix(q: IdempotentMatrix, qp: QuotientPresentation) -> Ide
     return IdempotentMatrix(a, current)
 
 
-def _factor_rank(
-    s: FDAlgebra,
-    factor_space: Subspace,
-    projected: AMatEntries,
-    idempotent: Vec,
-) -> Fraction:
-    """dim of the image of the presentation acting on factor^size, divided by
-    the factor dimension."""
-    size = len(projected)
-    m = factor_space.dim
-    if m == 0:
-        raise ValueError("empty factor")
-    blocks: list[list[Mat]] = []
-    for u in range(size):
-        row = []
-        for v in range(size):
-            entry = s.multiply(idempotent, projected[u][v])
-            cols = []
-            for b in factor_space.vectors():
-                prod = s.multiply(entry, b)
-                assert factor_space.contains(prod)
-                cols.append(factor_space.coordinates(prod))
-            row.append(Mat(cols).transpose())
-        blocks.append(row)
-    big_rows = []
-    for u in range(size):
-        for r_idx in range(m):
-            big_rows.append(
-                tuple(
-                    blocks[u][v].data[r_idx][c] for v in range(size) for c in range(m)
-                )
-            )
-    image_dim = rank(Mat(big_rows))
-    return Fraction(image_dim, m)
-
-
 def projective_module(presentation: IdempotentMatrix) -> ProjectiveModuleDescriptor:
     """Rank data of the projective module presented by an idempotent matrix."""
     a = presentation.algebra
-    report = jacobson_radical(a)
+    qp = jacobson_radical(a).quotient
     w = wedderburn_decomposition(a)
     s = w.semisimple_quotient
-    projected: AMatEntries = tuple(
-        tuple(report.quotient.project(entry) for entry in row)
-        for row in presentation.entries
-    )
+    traces = _basis_traces(s)
+    size = presentation.size
+    diagonal = [qp.project(presentation.entries[u][u]) for u in range(size)]
     ranks = []
     for factor in w.factors:
-        factor_space = Subspace(
-            s.dim, [s.multiply(factor.central_idempotent, s.basis_element(i)) for i in range(s.dim)]
+        e = factor.central_idempotent
+        image_dim = sum(
+            (c * t for d in diagonal for c, t in zip(s.multiply(e, d), traces)), Fraction(0)
         )
-        ranks.append(
-            _factor_rank(s, factor_space, projected, factor.central_idempotent)
-        )
+        if image_dim.denominator != 1 or not 0 <= image_dim <= size * factor.factor_dim:
+            raise AssertionError("trace of an idempotent is not the dimension of its image")
+        ranks.append(image_dim / factor.factor_dim)
     rank_vec = tuple(ranks)
     uniform = rank_vec[0] if all(r == rank_vec[0] for r in rank_vec) else None
     return ProjectiveModuleDescriptor(

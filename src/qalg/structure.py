@@ -7,9 +7,10 @@ to be a field. All searches walk deterministic candidate lists, so repeated
 runs produce identical reports.
 
 A semisimple algebra's zero radical has the algebra itself as its quotient,
-not a copy. Radical, Wedderburn and central idempotent results are memoized
-on the algebra object, so they are released with it and an equal but
-distinct algebra computes its own.
+not a copy. Radical, Wedderburn and central idempotent results, and the
+nilpotency index of each ideal (keyed by the ideal), are memoized on the
+algebra object, so they are released with it and an equal but distinct
+algebra computes its own.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ def _subspace_product(a: FDAlgebra, u: Subspace, v: Subspace) -> Subspace:
     return Subspace(a.dim, products)
 
 
+@_memoized
 def _ideal_nilpotency_index(a: FDAlgebra, n: Subspace) -> int:
     """Least t with n^t = 0, by direct powering. Raises NotNilpotentError when
     the powers stabilize at a nonzero subspace."""
@@ -88,18 +90,23 @@ def _ideal_nilpotency_index(a: FDAlgebra, n: Subspace) -> int:
     return t
 
 
+def _basis_traces(a: FDAlgebra) -> Vec:
+    """tr(L_b) for each basis element b, so that the trace of left
+    multiplication by y is the linear functional sum_k y_k * tr(L_{b_k})."""
+    s = a.structure
+    return tuple(sum((s[k][j][j] for j in range(a.dim)), Fraction(0)) for k in range(a.dim))
+
+
 @_memoized
 def jacobson_radical(a: FDAlgebra) -> RadicalReport:
     """Radical as the kernel of the trace form B(x, y) = tr(L_{xy})."""
     n = a.dim
     s = a.structure
-    basis_traces = [
-        sum((s[k][j][j] for j in range(n)), Fraction(0)) for k in range(n)
-    ]
+    traces = _basis_traces(a)
     gram = Mat(
         [
             [
-                sum((s[i][j][k] * basis_traces[k] for k in range(n)), Fraction(0))
+                sum((s[i][j][k] * traces[k] for k in range(n)), Fraction(0))
                 for j in range(n)
             ]
             for i in range(n)
@@ -154,12 +161,9 @@ def _evaluate_poly_at_element(a: FDAlgebra, p: Poly, z: Vec, one: Vec) -> Vec:
 
 def _mult_matrix_on_subspace(a: FDAlgebra, z: Vec, sub: Subspace) -> Mat:
     """Matrix of left multiplication by z restricted to an invariant subspace,
-    in the subspace's echelon coordinates."""
-    cols = []
-    for b in sub.vectors():
-        prod = a.multiply(z, b)
-        assert sub.contains(prod), "subspace is not invariant under the element"
-        cols.append(sub.coordinates(prod))
+    in the subspace's echelon coordinates. Raises ValueError when the
+    subspace is not invariant under z."""
+    cols = [sub.coordinates(a.multiply(z, b)) for b in sub.vectors()]
     return Mat(cols).transpose()
 
 

@@ -20,14 +20,14 @@ from qalg.algebra import (
     subalgebra_on,
     upper_triangular,
 )
-from qalg.corpus import cyclic_table, product_table, symmetric3_table
+from qalg.corpus import cyclic_table, fixtures, product_table, symmetric3_table
 from qalg.errors import (
     AlgebraMismatchError,
     MalformedTableError,
     NotAnIdealError,
     ValidationError,
 )
-from qalg.linalg import Mat
+from qalg.linalg import Mat, kernel_basis
 
 # Latin square with two-sided identity 0 that is not associative
 # ((1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4): a loop, not a group.
@@ -231,6 +231,18 @@ class TestCenter:
                     assert c.contains(a.multiply(u, v))
 
 
+    def test_center_is_kernel_of_regular_commutators(self):
+        # z is central iff (L_z - R_z) vanishes on every basis element,
+        # i.e. z lies in the kernel of the stacked L_{e_j} - R_{e_j}.
+        algebras = [f.build() for f in fixtures()] + [upper_triangular(4), quaternions(2, 3)]
+        for a in algebras:
+            blocks = []
+            for j in range(a.dim):
+                ej = a.basis_element(j)
+                blocks.extend((a.left_regular_matrix(ej) - a.right_regular_matrix(ej)).data)
+            assert a.center() == Subspace(a.dim, kernel_basis(Mat(blocks)))
+
+
 class TestGroupAlgebras:
     def test_cyclic_table_layout(self):
         assert cyclic_table(3) == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -397,6 +409,14 @@ class TestSubalgebras:
         sub = Subspace(4, [[0, 1, 0, 0]])
         with pytest.raises(ValueError):
             subalgebra_on(m, sub, m.unit)
+
+
+    def test_rejections_name_their_reason(self):
+        m = matrix_algebra(2)
+        with pytest.raises(ValueError, match="^subspace is not closed under multiplication$"):
+            subalgebra_on(m, Subspace(4, [[1, 0, 0, 0], [0, 1, 1, 0]]), (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="^designated unit lies outside the subspace$"):
+            subalgebra_on(m, Subspace(4, [[0, 1, 0, 0]]), m.unit)
 
 
 class TestJson:

@@ -392,6 +392,17 @@ class TestEdAlgebra:
         code, _, _ = run(capsys, "ed", "algebra", path, "--d", "0")
         assert code == 2
 
+    def test_nonpositive_rank_is_input_error(self, capsys, tmp_path):
+        path = write_algebra(capsys, tmp_path, "m2.json", "matrix", "2")
+        for flag in ("--rank", "0"), ("--rank=-1/2",):
+            code, out, _ = run(capsys, "ed", "algebra", path, "--d", "2", *flag, "--json")
+            assert code == 2
+            assert json.loads(out) == {
+                "status": "error",
+                "code": "input",
+                "message": "--rank must be positive",
+            }
+
     def test_explicit_rank_override(self, capsys, tmp_path):
         path = write_algebra(capsys, tmp_path, "m2.json", "matrix", "2")
         code, out, _ = run(

@@ -7,6 +7,7 @@ algebra, Hom(eA, fA) has dimension dim(fAe)."""
 
 import pytest
 
+import qalg.structure
 from qalg.algebra import direct_product, dual_numbers, group_algebra, matrix_algebra, Subspace
 from qalg.corpus import (
     cyclic_table,
@@ -118,6 +119,23 @@ class TestNilpotencyOracle:
         m = matrix_algebra(2)
         with pytest.raises(NotAnIdealError):
             nilpotency_oracle(m, Subspace(4, [[1, 0, 0, 0]]))
+
+    def test_does_not_call_the_pipeline_powering(self, monkeypatch):
+        # Reports first: the radical pipeline itself powers the radical.
+        reports = [(f, f.build()) for f in fixtures()]
+        reports = [(f, a, jacobson_radical(a)) for f, a in reports]
+
+        def pipeline(*args):
+            raise AssertionError("oracle used the pipeline's subspace powering")
+
+        monkeypatch.setattr(qalg.structure, "_ideal_nilpotency_index", pipeline)
+        monkeypatch.setattr(qalg.structure, "_subspace_product", pipeline)
+        self.test_zero_ideal()
+        self.test_strict_triangular_part()
+        self.test_non_nilpotent_ideal_rejected()
+        self.test_non_ideal_rejected()
+        for f, a, report in reports:
+            assert nilpotency_oracle(a, report.radical) == f.expected.nilpotency_index, f.name
 
     def test_agrees_with_radical_reports(self):
         for f in fixtures():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import qalg.structure
 from qalg.algebra import (
     FDAlgebra,
     Subspace,
@@ -16,6 +17,7 @@ from qalg.algebra import (
     quotient_by_ideal,
     upper_triangular,
 )
+from qalg.corpus import fixtures, hom_dim_oracle
 from qalg.errors import (
     AlgebraMismatchError,
     NotIdempotentError,
@@ -24,7 +26,9 @@ from qalg.errors import (
 )
 from qalg.modules import (
     IdempotentMatrix,
+    _flatten,
     _matrix_product,
+    _unflatten,
     lift_idempotent,
     lift_idempotent_matrix,
     lift_idempotent_with_count,
@@ -48,6 +52,40 @@ def unit_vec(n, i):
 
 def radical_quotient(a):
     return jacobson_radical(a).quotient
+
+
+def sheared_presentations(a, seed):
+    """Pairs (P, S*P*S^-1) with P = diag(e, 1) for e = 0 and for the lift of
+    each central idempotent of the semisimple quotient. S is the shear
+    [[1, x], [0, 1]], which keeps P's diagonal, and the product of shears
+    [[1 + xy, x], [y, 1]], which does not; x and y are seeded elements."""
+    rng = random.Random(seed)
+    qp = radical_quotient(a)
+    one, zero = a.unit, a.zero()
+    x, y = (tuple(Fraction(rng.randint(-2, 2)) for _ in range(a.dim)) for _ in range(2))
+    neg_x, neg_y = tuple(-c for c in x), tuple(-c for c in y)
+    xy, yx = a.multiply(x, y), a.multiply(y, x)
+    shears = [
+        ([[one, x], [zero, one]], [[one, neg_x], [zero, one]]),
+        (
+            [[tuple(u + c for u, c in zip(one, xy)), x], [y, one]],
+            [[one, neg_x], [neg_y, tuple(u + c for u, c in zip(one, yx))]],
+        ),
+    ]
+    idempotents = [zero] + [
+        lift_idempotent(f.central_idempotent, qp) for f in wedderburn_decomposition(a).factors
+    ]
+    identity = _flatten([[one, zero], [zero, one]])
+    out = []
+    for e in idempotents:
+        p = IdempotentMatrix.diagonal(a, [e, one])
+        flat = _flatten(p.entries)
+        for s, s_inv in shears:
+            s, s_inv = _flatten(s), _flatten(s_inv)
+            assert _matrix_product(a, 2, s, s_inv) == identity
+            conj = _matrix_product(a, 2, _matrix_product(a, 2, s, flat), s_inv)
+            out.append((p, IdempotentMatrix(a, _unflatten(conj, 2, a.dim))))
+    return out
 
 
 class TestLiftIdempotent:
@@ -136,6 +174,24 @@ class TestIterationBound:
                 assert a.is_idempotent(p)
                 assert qp.project(p) == q
                 assert count <= bound
+
+
+class TestNilpotencyIndexMemo:
+    def test_lift_reuses_the_index_from_the_radical(self, monkeypatch):
+        a = upper_triangular(3)
+        qp = radical_quotient(a)
+
+        def no_powering(*args):
+            raise AssertionError("nilpotency index recomputed")
+
+        monkeypatch.setattr(qalg.structure, "_subspace_product", no_powering)
+        s = qp.quotient
+        e = wedderburn_decomposition(a).factors[0].central_idempotent
+        q = IdempotentMatrix(s, [[e, s.zero()], [s.zero(), s.unit]])
+        lifted = lift_idempotent_matrix(q, qp)
+        assert all(
+            qp.project(lifted.entries[u][v]) == q.entries[u][v] for u in range(2) for v in range(2)
+        )
 
 
 class TestLiftIdempotentMatrix:
@@ -284,6 +340,43 @@ class TestRankVector:
             IdempotentMatrix(m, [[e00, m.zero()], [m.zero(), e00]])
         )
         assert double == tuple(2 * r for r in single)
+
+    def test_conjugate_presentations_have_equal_ranks(self):
+        # S*P*S^-1 presents a module isomorphic to P's, with dense entries
+        # off the diagonal and, for the second shear, a different diagonal.
+        cases = 0
+        for f in fixtures():
+            a = f.build()
+            if a.dim > 8:
+                continue
+            for seed in (1, 2):
+                for p, conj in sheared_presentations(a, seed):
+                    assert rank_vector(conj) == rank_vector(p), f.name
+                    cases += 1
+        assert cases >= 100
+
+    def test_ranks_times_factor_dims_give_the_module_dimension(self):
+        # Over a semisimple algebra dim Hom(A, M) = dim M = sum r_i * dim F_i,
+        # and hom_dim_oracle computes the left side without any traces. The
+        # oracle's Fraction elimination limits this to fixtures of dim <= 4
+        # and to the conjugates by the diagonal-changing shear.
+        for f in fixtures():
+            a = f.build()
+            if f.expected.radical_dim != 0 or a.dim > 4:
+                continue
+            free = projective_module(IdempotentMatrix(a, [[a.unit]]))
+            dims = [g.factor_dim for g in wedderburn_decomposition(a).factors]
+            for _, conj in sheared_presentations(a, 3)[1::2]:
+                m = projective_module(conj)
+                expected = sum(r * d for r, d in zip(m.rank_vector, dims))
+                assert hom_dim_oracle(free, m) == expected, f.name
+
+    def test_empty_presentation_has_fraction_zero_ranks(self):
+        u = upper_triangular(3)
+        desc = projective_module(IdempotentMatrix(u, []))
+        assert desc.rank_vector == (0, 0, 0)
+        assert all(type(r) is Fraction for r in desc.rank_vector)
+        assert type(desc.uniform_rank) is Fraction
 
     def test_bigger_presentation_of_free_module(self):
         m = matrix_algebra(2)

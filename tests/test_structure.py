@@ -21,9 +21,11 @@ from qalg.algebra import (
     upper_triangular,
 )
 from qalg.corpus import cyclic_table, fixtures, nilpotency_oracle, symmetric3_table
-from qalg.errors import NotSemisimpleError, NotSimpleError
+from qalg.errors import NotNilpotentError, NotSemisimpleError, NotSimpleError
 from qalg.linalg import Mat, rank
 from qalg.structure import (
+    _ideal_nilpotency_index,
+    _mult_matrix_on_subspace,
     central_primitive_idempotents,
     is_semisimple,
     jacobson_radical,
@@ -270,3 +272,28 @@ class TestMemo:
         del a
         gc.collect()
         assert report() is None
+
+    def test_nilpotency_index_memo_is_keyed_by_the_ideal(self):
+        a = upper_triangular(3)
+        radical = jacobson_radical(a).radical
+        strict_corner = Subspace(6, [[0, 0, 1, 0, 0, 0]])
+        assert _ideal_nilpotency_index(a, radical) == 3
+        assert _ideal_nilpotency_index(a, strict_corner) == 2
+        assert _ideal_nilpotency_index(a, Subspace(6, radical.vectors())) == 3
+        assert _ideal_nilpotency_index(upper_triangular(3), strict_corner) == 2
+
+    def test_non_nilpotent_ideal_is_not_memoized(self):
+        p2 = direct_product([rationals(), rationals()])
+        ideal = Subspace(2, [[1, 0]])
+        for _ in range(2):
+            with pytest.raises(NotNilpotentError):
+                _ideal_nilpotency_index(p2, ideal)
+        assert not any(key[0] == "_ideal_nilpotency_index" for key in p2._memo)
+
+
+class TestMultMatrixOnSubspace:
+    def test_non_invariant_subspace_raises_value_error(self):
+        # a ValueError, unlike an assert, survives python -O
+        m = matrix_algebra(2)
+        with pytest.raises(ValueError):
+            _mult_matrix_on_subspace(m, (0, 0, 1, 0), Subspace(4, [[1, 0, 0, 0]]))
