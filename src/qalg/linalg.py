@@ -272,36 +272,46 @@ def poly_eval_matrix(p: Poly, m: Mat) -> Mat:
     return out
 
 
-def minimal_polynomial(m: Mat) -> Poly:
-    """Monic minimal polynomial of a square matrix.
+def minimal_polynomial(x, multiply=None, one=None) -> Poly:
+    """Monic minimal polynomial: the first linear dependence among 1, x, x^2, ...
 
-    Computed as the least common multiple of the annihilators of the standard
-    basis vectors, each found from the first linear dependence in its Krylov
-    sequence v, m v, m^2 v, ...
+    x is a square Mat (powers are matrix products, 1 is the identity), or an
+    element of an algebra given with that algebra's multiply and unit. Each
+    new power is reduced against the earlier ones in one incremental
+    elimination, which stops at the first power that reduces to zero.
     """
-    if not m.is_square():
-        raise ValueError("minimal polynomial needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return Poly([1])
-    result = Poly([1])
-    for start in range(n):
-        v = tuple(Fraction(1 if i == start else 0) for i in range(n))
-        krylov: list[tuple[Fraction, ...]] = [v]
-        while True:
-            nxt = m.apply(krylov[-1])
-            span = Mat(krylov).transpose()
-            try:
-                coeffs = solve_linear(span, Mat([[x] for x in nxt]))
-            except NoSolutionError:
-                krylov.append(nxt)
-                continue
-            # m^d v = sum c_i m^i v, so x^d - sum c_i x^i annihilates v.
-            d = len(krylov)
-            ann = [-coeffs.data[i][0] for i in range(d)] + [Fraction(1)]
-            result = result.lcm(Poly(ann))
+    if multiply is None:
+        if not isinstance(x, Mat) or not x.is_square():
+            raise ValueError("minimal polynomial needs a square matrix")
+        multiply, one = Mat.__mul__, Mat.identity(x.rows)
+
+        def coords(m: Mat) -> list[Fraction]:
+            return [c for r in m.data for c in r]
+    else:
+        coords = list
+    powers: list[list[Fraction]] = []
+    # Reduced powers: (pivot, row, combination of powers giving that row).
+    reduced: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    power = one
+    while True:
+        d = len(powers)
+        if d:
+            power = multiply(power, x)
+        v = coords(power)
+        powers.append(v)
+        combo = [Fraction(0)] * d + [Fraction(1)]
+        for p, row, c in reduced:
+            f = v[p]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+                for i, ci in enumerate(c):
+                    combo[i] -= f * ci
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is None:
             break
-        if result.degree() == n:
-            break
-    assert poly_eval_matrix(result, m).is_zero()
-    return result
+        inv = 1 / v[pivot]
+        reduced.append((pivot, [a * inv for a in v], [a * inv for a in combo]))
+    # combo is x^d minus its expression in lower powers: monic of degree d.
+    if any(sum((c * w[k] for c, w in zip(combo, powers)), Fraction(0)) for k in range(len(v))):
+        raise AssertionError("minimal polynomial does not annihilate its argument")
+    return Poly(combo)

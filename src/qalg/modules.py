@@ -97,9 +97,14 @@ class IdempotentMatrix:
         flat = _flatten(ents)
         if _matrix_product(algebra, size, flat, flat) != flat:
             raise NotIdempotentError("matrix is not idempotent over the algebra")
+        self._fill(algebra, ents)
+
+    def _fill(self, algebra: FDAlgebra, entries: AMatEntries) -> "IdempotentMatrix":
+        """Set the fields of a matrix already known to be idempotent."""
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", ents)
+        object.__setattr__(self, "size", len(entries))
+        object.__setattr__(self, "entries", entries)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("IdempotentMatrix is immutable")
@@ -209,7 +214,8 @@ def lift_idempotent_matrix(q: IdempotentMatrix, qp: QuotientPresentation) -> Ide
     for u in range(size):
         for v in range(size):
             assert qp.project(current[u][v]) == q.entries[u][v]
-    return IdempotentMatrix(a, current)
+    # _refine returned only once P * P = P, so the constructor's check is skipped.
+    return IdempotentMatrix.__new__(IdempotentMatrix)._fill(a, current)
 
 
 def projective_module(presentation: IdempotentMatrix) -> ProjectiveModuleDescriptor:

@@ -61,41 +61,46 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic on polynomials over GF(p), coefficients as ints in [0, p),
-# lowest degree first, no trailing zeros.
+# Polynomials as lists of ints, lowest degree first, no trailing zeros. Over
+# GF(p) the coefficients lie in [0, p): a sum or product there is the integer
+# one reduced with _z_mod.
 
 
-def _gf_trim(a: list[int]) -> list[int]:
+def _z_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _gf_add(a: list[int], b: list[int], p: int) -> list[int]:
+def _z_add(a: list[int], b: list[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return _gf_trim(out)
+        out[i] += c
+    return _z_trim(out)
 
 
-def _gf_sub(a: list[int], b: list[int], p: int) -> list[int]:
+def _z_sub(a: list[int], b: list[int]) -> list[int]:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _gf_trim(out)
+        out[i] -= c
+    return _z_trim(out)
 
 
-def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+def _z_mul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _gf_trim(out)
+                out[i + j] += x * y
+    return _z_trim(out)
+
+
+def _z_mod(a: list[int], m: int) -> list[int]:
+    return _z_trim([c % m for c in a])
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -104,7 +109,7 @@ def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     rem = list(a)
     db, da = len(b) - 1, len(a) - 1
     if da < db:
-        return [], _gf_trim(rem)
+        return [], _z_trim(rem)
     inv = pow(b[-1], -1, p)
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
@@ -113,7 +118,7 @@ def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
         if c:
             for i, y in enumerate(b):
                 rem[k + i] = (rem[k + i] - c * y) % p
-    return _gf_trim(quo), _gf_trim(rem)
+    return _z_trim(quo), _z_trim(rem)
 
 
 def _gf_monic(a: list[int], p: int) -> list[int]:
@@ -137,8 +142,8 @@ def _gf_extgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     while r1:
         q, r = _gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _gf_sub(s0, _gf_mul(q, s1, p), p)
-        t0, t1 = t1, _gf_sub(t0, _gf_mul(q, t1, p), p)
+        s0, s1 = s1, _z_mod(_z_sub(s0, _z_mul(q, s1)), p)
+        t0, t1 = t1, _z_mod(_z_sub(t0, _z_mul(q, t1)), p)
     if not r0:
         return [], s0, t0
     inv = pow(r0[-1], -1, p)
@@ -151,14 +156,14 @@ def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     cur = _gf_divmod(base, mod, p)[1]
     while e > 0:
         if e & 1:
-            result = _gf_divmod(_gf_mul(result, cur, p), mod, p)[1]
-        cur = _gf_divmod(_gf_mul(cur, cur, p), mod, p)[1]
+            result = _gf_divmod(_z_mod(_z_mul(result, cur), p), mod, p)[1]
+        cur = _gf_divmod(_z_mod(_z_mul(cur, cur), p), mod, p)[1]
         e >>= 1
     return result
 
 
 def _gf_derivative(a: list[int], p: int) -> list[int]:
-    return _gf_trim([(i * c) % p for i, c in enumerate(a)][1:])
+    return _z_trim([(i * c) % p for i, c in enumerate(a)][1:])
 
 
 def _gf_kernel(m: list[list[int]], p: int) -> list[list[int]]:
@@ -207,7 +212,7 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     cur = [1]
     for i in range(n):
         if i > 0:
-            cur = _gf_divmod(_gf_mul(cur, xp, p), f, p)[1]
+            cur = _gf_divmod(_z_mod(_z_mul(cur, xp), p), f, p)[1]
         rows.append(list(cur) + [0] * (n - len(cur)))
     # Frobenius-fixed subalgebra: row vectors v with v Q = v, found as the
     # null space of (Q - I) transposed.
@@ -219,13 +224,13 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
         return [f]
     factors = [f]
     for v in kern:
-        g = _gf_trim(list(v))
+        g = _z_trim(list(v))
         if len(g) <= 1:
             continue
         for c in range(p):
             if len(factors) == r:
                 break
-            shifted = _gf_sub(g, [c], p)
+            shifted = _z_mod(_z_sub(g, [c]), p)
             nxt = []
             for u in factors:
                 if len(u) - 1 <= 1:
@@ -283,7 +288,7 @@ def factor_mod_p(p: Poly, prime: int) -> list[Poly]:
         red.append((c.numerator * pow(c.denominator, -1, prime)) % prime)
     if red[-1] == 0:
         raise BadPrimeError(f"leading coefficient vanishes mod {prime}")
-    f = _gf_monic(_gf_trim(red), prime)
+    f = _gf_monic(_z_trim(red), prime)
     if len(f) - 1 == 0:
         return []
     if len(_gf_gcd(f, _gf_derivative(f, prime), prime)) - 1 > 0:
@@ -295,45 +300,7 @@ def factor_mod_p(p: Poly, prime: int) -> list[Poly]:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomial helpers for Hensel lifting and recombination.
-# Lists of ints, lowest degree first, trimmed.
-
-
-def _z_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _z_add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _z_trim(out)
-
-
-def _z_sub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _z_trim(out)
-
-
-def _z_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _z_trim(out)
-
-
-def _z_mod(a: list[int], m: int) -> list[int]:
-    return _z_trim([c % m for c in a])
+# Integer polynomial division, Hensel lifting and recombination.
 
 
 def _z_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -392,10 +359,10 @@ def _hensel_lift_list(f: list[int], fs: list[list[int]], p: int, target: int) ->
     k = len(fs) // 2
     g: list[int] = [1]
     for u in fs[:k]:
-        g = _gf_mul(g, u, p)
+        g = _z_mod(_z_mul(g, u), p)
     h: list[int] = [1]
     for u in fs[k:]:
-        h = _gf_mul(h, u, p)
+        h = _z_mod(_z_mul(h, u), p)
     one, s, t = _gf_extgcd(g, h, p)
     assert one == [1], "modular factors are not coprime"
     m = p
@@ -430,7 +397,7 @@ def _factor_squarefree_monic(s: Poly) -> list[Poly]:
     prime = None
     for q in _odd_primes():
         red = [c % q for c in t_poly]
-        fq = _gf_trim(list(red))
+        fq = _z_trim(list(red))
         if len(_gf_gcd(fq, _gf_derivative(fq, q), q)) - 1 == 0:
             prime = q
             break

@@ -4,7 +4,9 @@ The radical is the kernel of the trace form (characteristic zero makes the
 trace criterion exact); the semisimple quotient is then split into simple
 factors by refining central idempotents until every block center is certified
 to be a field. All searches walk deterministic candidate lists, so repeated
-runs produce identical reports.
+runs produce identical reports. A candidate's minimal polynomial is the first
+linear dependence among the powers of the element itself, with the block's
+idempotent as 1 in the block center; no multiplication matrix is built.
 
 A semisimple algebra's zero radical has the algebra itself as its quotient,
 not a copy. Radical, Wedderburn and central idempotent results, and the
@@ -159,14 +161,6 @@ def _evaluate_poly_at_element(a: FDAlgebra, p: Poly, z: Vec, one: Vec) -> Vec:
     return tuple(out)
 
 
-def _mult_matrix_on_subspace(a: FDAlgebra, z: Vec, sub: Subspace) -> Mat:
-    """Matrix of left multiplication by z restricted to an invariant subspace,
-    in the subspace's echelon coordinates. Raises ValueError when the
-    subspace is not invariant under z."""
-    cols = [sub.coordinates(a.multiply(z, b)) for b in sub.vectors()]
-    return Mat(cols).transpose()
-
-
 def _partial_fraction_idempotents(
     a: FDAlgebra, z: Vec, one: Vec, minpoly: Poly, moduli: list[Poly]
 ) -> list[Vec]:
@@ -208,8 +202,7 @@ def central_primitive_idempotents(s: FDAlgebra) -> tuple[Vec, ...]:
             continue
         resolved = False
         for z in _splitting_candidates(block_center.vectors()):
-            mult_matrix = _mult_matrix_on_subspace(s, z, block_center)
-            minpoly = minimal_polynomial(mult_matrix)
+            minpoly = minimal_polynomial(z, s.multiply, e)
             fac = factor_rational(minpoly)
             assert all(mult == 1 for _, mult in fac.factors), (
                 "center of a semisimple algebra must be etale"
@@ -246,7 +239,7 @@ def _find_nontrivial_idempotent(f: FDAlgebra) -> Vec | None:
     polynomial is a power of a single irreducible."""
     rows = [f.basis_element(i) for i in range(f.dim)]
     for z in _splitting_candidates(rows):
-        minpoly = minimal_polynomial(f.left_regular_matrix(z))
+        minpoly = minimal_polynomial(z, f.multiply, f.unit)
         fac = factor_rational(minpoly)
         if len(fac.factors) < 2:
             continue

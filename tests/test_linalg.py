@@ -190,6 +190,33 @@ class TestMinimalPolynomial:
             truncated = p // Poly([0, 1])
             assert not poly_eval_matrix(truncated, m).is_zero()
 
+    def test_lower_powers_are_independent(self):
+        # degree d is minimal exactly when I, m, ..., m^(d-1) are independent
+        rng = random.Random(8)
+        for _ in range(25):
+            n = rng.randint(1, 5)
+            m = random_matrix(rng, n, n, span=2)
+            d = minimal_polynomial(m).degree()
+            powers = [Mat.identity(n)]
+            for _ in range(d - 1):
+                powers.append(powers[-1] * m)
+            assert rank(Mat([[c for row in q.data for c in row] for q in powers])) == d
+
+    def test_derogatory_matrix_needs_more_than_one_start_vector(self):
+        # x - 1 kills the first basis vector but is a proper divisor of the
+        # minimal polynomial (x - 1)(x - 2).
+        m = Mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+        first_annihilator = Poly([-1, 1])
+        assert poly_eval_matrix(first_annihilator, m).apply((1, 0, 0)) == (0, 0, 0)
+        p = minimal_polynomial(m)
+        assert p == Poly([2, -3, 1])
+        assert (p % first_annihilator).is_zero() and p != first_annihilator
+
+    def test_empty_matrix_and_shape_check(self):
+        assert minimal_polynomial(Mat.zeros(0, 0)) == Poly([1])
+        with pytest.raises(ValueError):
+            minimal_polynomial(Mat([[1, 2]]))
+
 
 class TestMatBasics:
     def test_matmul_shapes_and_values(self):

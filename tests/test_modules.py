@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import qalg.modules
 import qalg.structure
 from qalg.algebra import (
     FDAlgebra,
@@ -252,6 +253,25 @@ class TestLiftIdempotentMatrix:
         # from the start, so exactly one pass ran.
         assert lifted.entries != start
         assert lifted == IdempotentMatrix.diagonal(a, [(1, -1), (1, -1)])
+
+    def test_lift_checks_idempotency_once(self, monkeypatch):
+        # One pass is a square, a cube and the square that ends the loop; the
+        # result is not multiplied again to check it.
+        a = FDAlgebra([[(1, 1), (0, 1)], [(0, 1), (0, 0)]], (1, -1))
+        qp = radical_quotient(a)
+        one, zero = qp.quotient.unit, qp.quotient.zero()
+        q = IdempotentMatrix(qp.quotient, [[one, zero], [zero, one]])
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _matrix_product(*args)
+
+        monkeypatch.setattr(qalg.modules, "_matrix_product", counted)
+        lifted = lift_idempotent_matrix(q, qp)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        assert IdempotentMatrix(a, lifted.entries) == lifted
 
 
 class TestMatrixProduct:

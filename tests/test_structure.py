@@ -22,10 +22,9 @@ from qalg.algebra import (
 )
 from qalg.corpus import cyclic_table, fixtures, nilpotency_oracle, symmetric3_table
 from qalg.errors import NotNilpotentError, NotSemisimpleError, NotSimpleError
-from qalg.linalg import Mat, rank
+from qalg.linalg import Mat, minimal_polynomial, poly_eval_matrix, rank
 from qalg.structure import (
     _ideal_nilpotency_index,
-    _mult_matrix_on_subspace,
     central_primitive_idempotents,
     is_semisimple,
     jacobson_radical,
@@ -291,9 +290,46 @@ class TestMemo:
         assert not any(key[0] == "_ideal_nilpotency_index" for key in p2._memo)
 
 
-class TestMultMatrixOnSubspace:
-    def test_non_invariant_subspace_raises_value_error(self):
-        # a ValueError, unlike an assert, survives python -O
-        m = matrix_algebra(2)
-        with pytest.raises(ValueError):
-            _mult_matrix_on_subspace(m, (0, 0, 1, 0), Subspace(4, [[1, 0, 0, 0]]))
+def few_candidates(rows):
+    """The rows themselves, then the sums and one weighted sum of the first
+    few pairs."""
+    yield from rows
+    for i in range(min(len(rows), 3)):
+        for j in range(i + 1, len(rows)):
+            yield tuple(x + y for x, y in zip(rows[i], rows[j]))
+            yield tuple(2 * x + 3 * y for x, y in zip(rows[i], rows[j]))
+
+
+def assert_minimal_for_matrix(p, m):
+    """p annihilates m, and I, m, ..., m^(deg p - 1) are independent."""
+    assert p.is_monic()
+    assert poly_eval_matrix(p, m).is_zero()
+    powers = [Mat.identity(m.rows)]
+    for _ in range(p.degree() - 1):
+        powers.append(powers[-1] * m)
+    assert rank(Mat([[c for row in q.data for c in row] for q in powers])) == p.degree()
+
+
+class TestElementMinimalPolynomial:
+    """minimal_polynomial of an algebra element against the matrix of left
+    multiplication, checked with poly_eval_matrix and rank only."""
+
+    @pytest.mark.parametrize("fx", fixtures(), ids=lambda f: f.name)
+    def test_equals_that_of_left_multiplication(self, fx):
+        a = fx.build()
+        rows = [a.basis_element(i) for i in range(a.dim)]
+        for z in few_candidates(rows):
+            p = minimal_polynomial(z, a.multiply, a.unit)
+            assert_minimal_for_matrix(p, a.left_regular_matrix(z))
+
+    @pytest.mark.parametrize("fx", fixtures(), ids=lambda f: f.name)
+    def test_block_center_with_its_own_unit(self, fx):
+        s = jacobson_radical(fx.build()).quotient.quotient
+        center = s.center()
+        for e in (s.unit,) + central_primitive_idempotents(s):
+            block = Subspace(s.dim, [s.multiply(e, z) for z in center.vectors()])
+            for z in few_candidates(block.vectors()):
+                p = minimal_polynomial(z, s.multiply, e)
+                # left multiplication by z on the block center, in its coordinates
+                cols = [block.coordinates(s.multiply(z, b)) for b in block.vectors()]
+                assert_minimal_for_matrix(p, Mat(cols).transpose())
