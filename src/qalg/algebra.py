@@ -379,7 +379,8 @@ def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
     # greedy extension of n's basis in index order would keep.
     projection, complement = rref(kernel_basis(n.basis))
     qdim = len(complement)
-    assert qdim == a.dim - n.dim
+    if qdim != a.dim - n.dim:
+        raise AssertionError("quotient dimension is not the codimension of the ideal")
 
     comp_rows = [a.basis_element(i) for i in complement]
     section = Mat(comp_rows).transpose()
@@ -394,7 +395,8 @@ def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
     qp = QuotientPresentation(
         algebra=a, ideal=n, quotient=quotient, projection=projection, section=section
     )
-    assert projection * section == Mat.identity(qdim)
+    if projection * section != Mat.identity(qdim):
+        raise AssertionError("section is not a right inverse of the projection")
     return qp
 
 

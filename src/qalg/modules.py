@@ -168,13 +168,7 @@ def _refinement_bound(qp: QuotientPresentation) -> int:
 def lift_idempotent_with_count(q: Sequence, qp: QuotientPresentation) -> tuple[Vec, int]:
     """Lift an idempotent of the quotient through the nilpotent ideal,
     returning the lifted element and the number of refinement passes."""
-    q = qp.quotient.element(q)
-    if not qp.quotient.is_idempotent(q):
-        raise NotIdempotentError("element is not idempotent in the quotient")
-    bound = _refinement_bound(qp)
-    p, steps = _refine(qp.algebra.multiply, qp.lift(q), bound)
-    assert qp.project(p) == q
-    return p, steps
+    return refine_to_idempotent(qp, qp.lift(qp.quotient.element(q)))
 
 
 def lift_idempotent(q: Sequence, qp: QuotientPresentation) -> Vec:

@@ -2,11 +2,14 @@
 
 The radical is the kernel of the trace form (characteristic zero makes the
 trace criterion exact); the semisimple quotient is then split into simple
-factors by refining central idempotents until every block center is certified
-to be a field. All searches walk deterministic candidate lists, so repeated
-runs produce identical reports. A candidate's minimal polynomial is the first
-linear dependence among the powers of the element itself, with the block's
-idempotent as 1 in the block center; no multiplication matrix is built.
+factors by the minimal polynomial of one primitive element of its center. That
+element is the first z_t = sum_i C(t, i) * b_i over the center's echelon basis
+with a minimal polynomial of degree m = dim center, and t <= (m-1) * m(m-1)/2
+is proven to suffice. The factors come in the order of that polynomial's
+irreducible factors from factor_rational: by degree, then coefficients. The
+matrix size search walks a deterministic candidate list, so repeated runs
+produce identical reports. A minimal polynomial is the first linear dependence
+among the powers of the element itself; no multiplication matrix is built.
 
 A semisimple algebra's zero radical has the algebra itself as its quotient,
 not a copy. Radical, Wedderburn and central idempotent results, and the
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterator, Sequence
 
 from .algebra import (
@@ -125,8 +128,9 @@ def is_semisimple(a: FDAlgebra) -> bool:
 
 
 def _splitting_candidates(rows: Sequence[Vec]) -> Iterator[Vec]:
-    """Deterministic candidate elements: basis vectors, then two-term
-    combinations with coefficients 1..3, then three-term combinations."""
+    """Deterministic candidate elements for the matrix size search (its only
+    user): basis vectors, then two-term combinations with coefficients 1..3,
+    then three-term combinations."""
     for row in rows:
         yield row
     m = len(rows)
@@ -172,58 +176,49 @@ def _partial_fraction_idempotents(
         _, s, _ = (g % q).extended_gcd(q)
         u = (g * (s % q)) % minpoly
         e = _evaluate_poly_at_element(a, u, z, one)
-        assert a.multiply(e, e) == e, "partial fraction idempotent failed"
+        if a.multiply(e, e) != e:
+            raise AssertionError("partial fraction idempotent failed")
         out.append(e)
     return out
 
 
 @_memoized
 def central_primitive_idempotents(s: FDAlgebra) -> tuple[Vec, ...]:
-    """Central primitive idempotents of a semisimple algebra.
+    """Central primitive idempotents of a semisimple algebra, from the minimal
+    polynomial of one primitive element of its center.
 
-    Blocks are refined by splitting minimal polynomials of candidate central
-    elements; a block is final once some candidate's minimal polynomial is
-    irreducible of degree equal to the block center's dimension, which
-    certifies that the block center is a field.
+    The center Z is a product of number fields of total dimension m, so it
+    has m distinct embeddings into an algebraic closure, and the minimal
+    polynomial of z in Z has one root per distinct value they take at z. It
+    has degree m exactly when z generates Z; it is then squarefree, and its
+    irreducible factors, in factor_rational's order (by degree, then
+    coefficients), give the idempotents in that order by partial fractions.
+
+    With b_0..b_{m-1} the center's echelon basis, z_t = sum_i C(t, i) * b_i
+    is tried for t = 0, 1, .... An embedding sends z_t to a polynomial in t
+    of degree below m, and distinct embeddings give distinct polynomials
+    because the C(t, i) with i < m span those polynomials. Each of the
+    m(m-1)/2 pairs of embeddings therefore agrees for at most m - 1 values
+    of t, and some t <= (m-1) * m(m-1)/2 works; passing that bound is an
+    internal error.
     """
     if jacobson_radical(s).radical.dim != 0:
         raise NotSemisimpleError("algebra has a nonzero radical")
-    center = s.center()
-    queue: list[Vec] = [s.unit]
-    final: list[Vec] = []
-    while queue:
-        e = queue.pop(0)
-        block_center = Subspace(
-            s.dim, [s.multiply(e, z) for z in center.vectors()]
+    basis = s.center().vectors()
+    m = len(basis)
+    for t in range((m - 1) * m * (m - 1) // 2 + 1):
+        weights = [comb(t, i) for i in range(m)]
+        z = tuple(
+            sum((w * b[k] for w, b in zip(weights, basis)), Fraction(0))
+            for k in range(s.dim)
         )
-        m = block_center.dim
-        if m == 1:
-            final.append(e)
-            continue
-        resolved = False
-        for z in _splitting_candidates(block_center.vectors()):
-            minpoly = minimal_polynomial(z, s.multiply, e)
-            fac = factor_rational(minpoly)
-            assert all(mult == 1 for _, mult in fac.factors), (
-                "center of a semisimple algebra must be etale"
+        minpoly = minimal_polynomial(z, s.multiply, s.unit)
+        if minpoly.degree() == m:
+            irreducibles = [f for f, _ in factor_rational(minpoly).factors]
+            return tuple(
+                _partial_fraction_idempotents(s, z, s.unit, minpoly, irreducibles)
             )
-            irreducibles = [f for f, _ in fac.factors]
-            if len(irreducibles) == 1:
-                if irreducibles[0].degree() == m:
-                    final.append(e)
-                    resolved = True
-                    break
-                continue
-            queue.extend(
-                _partial_fraction_idempotents(s, z, e, minpoly, irreducibles)
-            )
-            resolved = True
-            break
-        if not resolved:
-            raise RuntimeError(
-                "candidate list exhausted without certifying or splitting a block"
-            )
-    return tuple(final)
+    raise AssertionError("no primitive element of the center within the proven bound")
 
 
 def _corner_subspace(a: FDAlgebra, p: Vec) -> Subspace:
@@ -245,7 +240,8 @@ def _find_nontrivial_idempotent(f: FDAlgebra) -> Vec | None:
             continue
         first_modulus = _poly_power(fac.factors[0][0], fac.factors[0][1])
         e = _partial_fraction_idempotents(f, z, f.unit, minpoly, [first_modulus])[0]
-        assert e != f.zero() and e != f.unit
+        if e == f.zero() or e == f.unit:
+            raise AssertionError("split off a trivial idempotent")
         return e
     return None
 
@@ -314,11 +310,13 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
             s.dim, [s.multiply(e, z) for z in center.vectors()]
         ).dim
         degree = isqrt(factor_dim // center_dim)
-        assert degree * degree * center_dim == factor_dim, (
-            "factor dimension is not a square multiple of its center dimension"
-        )
+        if degree * degree * center_dim != factor_dim:
+            raise AssertionError(
+                "factor dimension is not a square multiple of its center dimension"
+            )
         size = _matrix_size_search(factor_alg)
-        assert size is None or degree % size == 0
+        if size is not None and degree % size != 0:
+            raise AssertionError("matrix size does not divide the degree")
         factors.append(
             SimpleFactorData(
                 central_idempotent=e,
@@ -329,5 +327,6 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
             )
         )
     total = sum(f.factor_dim for f in factors)
-    assert total == s.dim
+    if total != s.dim:
+        raise AssertionError("factor dimensions do not add up to the quotient's")
     return WedderburnReport(semisimple_quotient=s, factors=tuple(factors))

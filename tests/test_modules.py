@@ -40,7 +40,11 @@ from qalg.modules import (
     rank_vector,
     refine_to_idempotent,
 )
-from qalg.structure import jacobson_radical, wedderburn_decomposition
+from qalg.structure import (
+    central_primitive_idempotents,
+    jacobson_radical,
+    wedderburn_decomposition,
+)
 
 
 def rationals():
@@ -115,8 +119,16 @@ class TestLiftIdempotent:
 
     def test_non_idempotent_class_rejected(self):
         qp = radical_quotient(upper_triangular(2))
-        with pytest.raises(NotIdempotentError):
+        with pytest.raises(NotIdempotentError, match="modulo the ideal"):
             lift_idempotent((2, 0), qp)
+
+    def test_lift_refines_the_section_of_its_class(self):
+        for fx in fixtures():
+            qp = radical_quotient(fx.build())
+            for q in (qp.quotient.unit,) + central_primitive_idempotents(qp.quotient):
+                assert lift_idempotent_with_count(q, qp) == refine_to_idempotent(
+                    qp, qp.lift(q)
+                )
 
     def test_non_nilpotent_ideal_rejected(self):
         p2 = direct_product([rationals(), rationals()])

@@ -4,10 +4,17 @@ subspace powering (corpus.nilpotency_oracle) and a trace-form Gram matrix
 recomputed from scratch inside the tests."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import qalg
+import qalg.structure
 
 from qalg.algebra import (
     FDAlgebra,
@@ -23,6 +30,7 @@ from qalg.algebra import (
 from qalg.corpus import cyclic_table, fixtures, nilpotency_oracle, symmetric3_table
 from qalg.errors import NotNilpotentError, NotSemisimpleError, NotSimpleError
 from qalg.linalg import Mat, minimal_polynomial, poly_eval_matrix, rank
+from qalg.poly import Poly
 from qalg.structure import (
     _ideal_nilpotency_index,
     central_primitive_idempotents,
@@ -152,6 +160,117 @@ class TestCentralIdempotents:
         a = group_algebra(symmetric3_table())
         assert central_primitive_idempotents(a) == central_primitive_idempotents(a)
         assert len(central_primitive_idempotents(a)) == 3
+
+
+def multiquadratic(primes):
+    """Q(sqrt p_1, ..., sqrt p_k) on the basis e_S = prod_{i in S} sqrt p_i,
+    indexed by bitmask: e_S * e_T = (prod_{i in S & T} p_i) * e_(S ^ T)."""
+    dim = 1 << len(primes)
+    structure = []
+    for s in range(dim):
+        row = []
+        for t in range(dim):
+            vec = [0] * dim
+            vec[s ^ t] = 1
+            for i, p in enumerate(primes):
+                if (s & t) >> i & 1:
+                    vec[s ^ t] *= p
+            row.append(vec)
+        structure.append(row)
+    return FDAlgebra(structure, [1] + [0] * (dim - 1))
+
+
+def primitive_element_bound(m):
+    """Most elements the primitive-element search may try on a center of
+    dimension m: every t <= (m-1) * m(m-1)/2."""
+    return (m - 1) * m * (m - 1) // 2 + 1
+
+
+class TestPrimitiveElementSplitting:
+    @pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 5, 7)], ids=str)
+    def test_multiquadratic_field_is_one_factor(self, primes):
+        d = 1 << len(primes)
+        w = wedderburn_decomposition(multiquadratic(primes))
+        shapes = [
+            (f.factor_dim, f.center_dim, f.degree_over_center, f.matrix_size)
+            for f in w.factors
+        ]
+        assert shapes == [(d, d, 1, 1)]
+
+    def test_size_search_candidates_are_not_used(self, monkeypatch):
+        def refuse(rows):
+            raise AssertionError("central splitting walked the size-search candidates")
+
+        monkeypatch.setattr(qalg.structure, "_splitting_candidates", refuse)
+        for f in fixtures():
+            s = jacobson_radical(f.build()).quotient.quotient
+            es = central_primitive_idempotents(s)
+            assert len(es) == len(f.expected.factor_shapes), f.name
+            total = s.zero()
+            for e in es:
+                total = tuple(x + y for x, y in zip(total, e))
+            assert total == s.unit, f.name
+
+    def count_tries(self, monkeypatch, s):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return minimal_polynomial(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(qalg.structure, "minimal_polynomial", counting)
+            central_primitive_idempotents(s)
+        return len(calls)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_tries_within_bound_on_products_of_rationals(self, monkeypatch, m):
+        s = direct_product([rationals()] * m)
+        tries = self.count_tries(monkeypatch, s)
+        assert tries <= primitive_element_bound(m)
+        assert len(central_primitive_idempotents(s)) == m
+
+    def test_tries_within_bound_on_fixtures(self, monkeypatch):
+        for f in fixtures():
+            s = jacobson_radical(f.build()).quotient.quotient
+            tries = self.count_tries(monkeypatch, s)
+            assert tries <= primitive_element_bound(s.center().dim), f.name
+
+    def test_passing_the_bound_is_an_internal_error(self, monkeypatch):
+        # a minimal polynomial that never reaches the center's dimension
+        monkeypatch.setattr(qalg.structure, "minimal_polynomial", lambda *args: Poly([0, 1]))
+        with pytest.raises(AssertionError, match="proven bound"):
+            central_primitive_idempotents(direct_product([rationals()] * 3))
+
+
+class TestChecksSurviveOptimize:
+    def test_partial_fraction_check_raises_under_python_o(self):
+        # z = (1, 2) in Q x Q has minimal polynomial (x - 1)(x - 2); the
+        # modulus x - 3 does not divide it, so no idempotent comes out
+        program = (
+            "from qalg.algebra import FDAlgebra, direct_product\n"
+            "from qalg.poly import Poly\n"
+            "from qalg.structure import _partial_fraction_idempotents\n"
+            "q = FDAlgebra([[[1]]], [1])\n"
+            "a = direct_product([q, q])\n"
+            "try:\n"
+            "    _partial_fraction_idempotents(\n"
+            "        a, (1, 2), a.unit, Poly([2, -3, 1]), [Poly([-3, 1])]\n"
+            "    )\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(qalg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", program],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: partial fraction idempotent failed\n"
 
 
 class TestMatrixSize:
