@@ -16,11 +16,12 @@ from typing import Sequence
 
 from .errors import (
     AlgebraMismatchError,
+    InternalError,
     MalformedTableError,
     NotAnIdealError,
     ValidationError,
 )
-from .linalg import Mat, as_vector, kernel_basis, rat, rat_from_str, rat_to_str, rref
+from .linalg import Mat, _echelon, _reduce, as_vector, kernel_basis, rat, rat_to_str, rat_vector_from_json, rref
 
 Vec = tuple[Fraction, ...]
 
@@ -50,18 +51,10 @@ class Subspace:
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence] | Mat):
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
-        if isinstance(vectors, Mat):
-            m = vectors
-        else:
-            rows = [as_vector(v, ambient_dim) for v in vectors]
-            m = Mat(rows) if rows else Mat.zeros(0, ambient_dim)
-        if m.cols != ambient_dim and m.rows > 0:
-            raise ValueError("vector length does not match the ambient dimension")
-        ech, pivots = rref(m)
-        kept = [ech.data[i] for i in range(len(pivots))]
+        rows, pivots = _echelon(as_vector(v, ambient_dim) for v in vectors)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Mat(kept) if kept else Mat.zeros(0, ambient_dim))
-        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "basis", Mat(rows) if rows else Mat.zeros(0, ambient_dim))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -70,26 +63,15 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    def _residue(self, v: Sequence) -> tuple[Vec, list[Fraction]]:
-        """v as a vector, and what is left of it after reduction by the basis."""
-        vv = as_vector(v, self.ambient_dim)
-        w = list(vv)
-        for row, p in zip(self.basis.data, self.pivots):
-            c = w[p]
-            if c != 0:
-                for idx in range(self.ambient_dim):
-                    w[idx] -= c * row[idx]
-        return vv, w
-
     def contains(self, v: Sequence) -> bool:
-        return not any(self._residue(v)[1])
+        return not any(_reduce(self.basis.data, self.pivots, as_vector(v, self.ambient_dim)))
 
     def coordinates(self, v: Sequence) -> Vec:
         """Coordinates of v in the echelon basis. Raises ValueError when v
         is outside the subspace; with a reduced echelon basis the coordinates
         are just the pivot entries."""
-        vv, residue = self._residue(v)
-        if any(residue):
+        vv = as_vector(v, self.ambient_dim)
+        if any(_reduce(self.basis.data, self.pivots, vv)):
             raise ValueError("vector lies outside the subspace")
         return tuple(vv[p] for p in self.pivots)
 
@@ -289,20 +271,15 @@ class FDAlgebra:
             if key not in obj:
                 raise ValueError(f"algebra JSON missing key {key!r}")
         dim = obj["dim"]
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError("dim must be a positive integer")
         structure = obj["structure"]
-        unit = obj["unit"]
-        if len(structure) != dim or any(len(row) != dim for row in structure):
+        if not isinstance(structure, list) or len(structure) != dim or any(
+            not isinstance(row, list) or len(row) != dim for row in structure
+        ):
             raise ValueError("structure must be a dim x dim array of vectors")
-        parsed = [
-            [[rat_from_str(c) for c in vec] for vec in row] for row in structure
-        ]
-        if any(len(vec) != dim for row in parsed for vec in row):
-            raise ValueError("structure vectors must have length dim")
-        if len(unit) != dim:
-            raise ValueError("unit must have length dim")
-        return FDAlgebra(parsed, [rat_from_str(c) for c in unit])
+        parsed = [[rat_vector_from_json(v, dim, "structure vector") for v in row] for row in structure]
+        return FDAlgebra(parsed, rat_vector_from_json(obj["unit"], dim, "unit"))
 
 
 def subalgebra_on(a: FDAlgebra, sub: Subspace, unit_vec: Sequence) -> FDAlgebra:
@@ -380,7 +357,7 @@ def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
     projection, complement = rref(kernel_basis(n.basis))
     qdim = len(complement)
     if qdim != a.dim - n.dim:
-        raise AssertionError("quotient dimension is not the codimension of the ideal")
+        raise InternalError("quotient dimension is not the codimension of the ideal")
 
     comp_rows = [a.basis_element(i) for i in complement]
     section = Mat(comp_rows).transpose()
@@ -396,7 +373,7 @@ def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
         algebra=a, ideal=n, quotient=quotient, projection=projection, section=section
     )
     if projection * section != Mat.identity(qdim):
-        raise AssertionError("section is not a right inverse of the projection")
+        raise InternalError("section is not a right inverse of the projection")
     return qp
 
 

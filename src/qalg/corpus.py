@@ -23,7 +23,7 @@ from .algebra import (
     quaternions,
     upper_triangular,
 )
-from .errors import NotAnIdealError, NotNilpotentError
+from .errors import InternalError, NotAnIdealError, NotNilpotentError
 from .linalg import Mat, kernel_basis, rref
 from .modules import ProjectiveModuleDescriptor
 
@@ -260,7 +260,8 @@ def _action_matrices(m: ProjectiveModuleDescriptor, basis: Mat) -> list[Mat]:
             for c, brow in zip(coords, ech.data):
                 if c != 0:
                     residue = [x - c * y for x, y in zip(residue, brow)]
-            assert all(x == 0 for x in residue), "module basis is not action-invariant"
+            if any(residue):
+                raise InternalError("module basis is not action-invariant")
             cols.append(coords)
         out.append(Mat(cols).transpose() if cols else Mat.zeros(0, 0))
     return out
@@ -304,5 +305,6 @@ def hom_dim_oracle(m1: ProjectiveModuleDescriptor, m2: ProjectiveModuleDescripto
                 solution = Mat.zeros(0, unknowns)
                 break
             solution = small * solution
-    assert solution is not None
+    if solution is None:
+        raise InternalError("hom oracle built no constraints")
     return solution.rows

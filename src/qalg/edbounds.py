@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from .errors import NotDivisorError, RankNotRealizableError, UnknownIndexError
+from .errors import InternalError, NotDivisorError, RankNotRealizableError, UnknownIndexError
 from .linalg import rat, rat_to_str
 from .polyfactor import is_prime
 from .structure import WedderburnReport
@@ -402,8 +402,8 @@ def partition_square_sum_check(r: int) -> PartitionCheck:
             best = value
             witness = parts
     predicted = r * r - 2 * r + 2
-    assert best is not None and witness is not None
-    assert best <= predicted, "partition square sum exceeded the predicted bound"
+    if best is None or witness is None or best > predicted:
+        raise InternalError("partition square sum exceeded the predicted bound")
     return PartitionCheck(
         rank=r,
         max_square_sum=best,

@@ -10,6 +10,12 @@ class QalgError(Exception):
     """Base class for mathematical precondition failures."""
 
 
+class InternalError(AssertionError):
+    """A defect in this package, not bad input. Raised explicitly, so the check
+    holds under ``python -O``; not a QalgError, so the CLI does not report it
+    as a failed precondition."""
+
+
 class NoSolutionError(QalgError):
     """Linear system has no solution (right-hand side outside the column space)."""
 

@@ -1,18 +1,19 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Everything here is immutable and deterministic: matrices are tuples of tuples
-of ``fractions.Fraction``, elimination always picks the first nonzero pivot in
-row order, and reduced row echelon form is the canonical representative used
-for subspace comparisons elsewhere in the package.
+of ``fractions.Fraction``, and all elimination grows a reduced row echelon
+basis one vector at a time (`_insert`). That form is the canonical
+representative used for subspace comparisons elsewhere in the package.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NoSolutionError
+from .errors import InternalError, NoSolutionError
 from .poly import Poly
 
 # Rational scalar type used across the package. Fraction already guarantees
@@ -45,6 +46,13 @@ def rat_from_str(s: str) -> Fraction:
         return Fraction(s.strip())
     except ZeroDivisionError as exc:
         raise ValueError(f"not a rational: {s!r}") from exc
+
+
+def rat_vector_from_json(obj, length: int, what: str) -> tuple[Fraction, ...]:
+    """Parse a JSON array of `length` rational strings ('a' or 'a/b')."""
+    if not isinstance(obj, list) or len(obj) != length:
+        raise ValueError(f"{what} must be a JSON array of {length} rational strings")
+    return tuple(rat_from_str(c) for c in obj)
 
 
 def as_vector(values: Iterable, length: int | None = None) -> tuple[Fraction, ...]:
@@ -179,37 +187,56 @@ class Mat:
             raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
+def _reduce(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> list[Fraction]:
+    """What is left of v after clearing each pivot column of reduced echelon rows."""
+    w = list(v)
+    for row, p in zip(rows, pivots):
+        c = w[p]
+        if c:
+            w = [a - c * b if b else a for a, b in zip(w, row)]
+    return w
+
+
+def _insert(rows: list, pivots: list[int], v: Sequence[Fraction]) -> bool:
+    """Add v to reduced echelon rows kept in pivot order: the package's one
+    elimination over Q. What `_reduce` leaves of v is scaled to a leading 1,
+    cleared from the other rows and inserted at its pivot's place. Returns
+    False, changing nothing, when v lies in the rows' span."""
+    w = _reduce(rows, pivots, v)
+    p = next((i for i, a in enumerate(w) if a), None)
+    if p is None:
+        return False
+    inv = 1 / w[p]
+    w = [a * inv for a in w]
+    for i, row in enumerate(rows):
+        c = row[p]
+        if c:
+            rows[i] = [a - c * b if b else a for a, b in zip(row, w)]
+    k = bisect_left(pivots, p)
+    rows.insert(k, w)
+    pivots.insert(k, p)
+    return True
+
+
+def _echelon(vectors: Iterable[Sequence]) -> tuple[list, list[int]]:
+    """Reduced echelon rows and pivots of the span of vectors."""
+    rows: list = []
+    pivots: list[int] = []
+    for v in vectors:
+        _insert(rows, pivots, v)
+    return rows, pivots
+
+
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form.
 
-    Returns the echelon matrix and the tuple of pivot column indices. Pivot
-    choice is deterministic: the first row with a nonzero entry in the current
-    column, scanning columns left to right.
+    Returns the echelon matrix, zero rows last, and the tuple of pivot column
+    indices. The rows of m are inserted one at a time; since the reduced
+    echelon form of a row space is unique, the order does not matter.
     """
-    rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return Mat(rows), tuple(pivots)
+    rows, pivots = _echelon(m.data)
+    ech = rows + [[Fraction(0)] * m.cols] * (m.rows - len(rows))
+    return (Mat(ech) if ech else Mat.zeros(0, m.cols)), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -276,9 +303,8 @@ def minimal_polynomial(x, multiply=None, one=None) -> Poly:
     """Monic minimal polynomial: the first linear dependence among 1, x, x^2, ...
 
     x is a square Mat (powers are matrix products, 1 is the identity), or an
-    element of an algebra given with that algebra's multiply and unit. Each
-    new power is reduced against the earlier ones in one incremental
-    elimination, which stops at the first power that reduces to zero.
+    element of an algebra given with that algebra's multiply and unit. The
+    powers join one reduced echelon basis until one of them is dependent.
     """
     if multiply is None:
         if not isinstance(x, Mat) or not x.is_square():
@@ -289,29 +315,18 @@ def minimal_polynomial(x, multiply=None, one=None) -> Poly:
             return [c for r in m.data for c in r]
     else:
         coords = list
-    powers: list[list[Fraction]] = []
-    # Reduced powers: (pivot, row, combination of powers giving that row).
-    reduced: list[tuple[int, list[Fraction], list[Fraction]]] = []
+    rows: list = []
+    pivots: list[int] = []
     power = one
-    while True:
-        d = len(powers)
-        if d:
-            power = multiply(power, x)
-        v = coords(power)
-        powers.append(v)
-        combo = [Fraction(0)] * d + [Fraction(1)]
-        for p, row, c in reduced:
-            f = v[p]
-            if f:
-                v = [a - f * b for a, b in zip(v, row)]
-                for i, ci in enumerate(c):
-                    combo[i] -= f * ci
-        pivot = next((i for i, a in enumerate(v) if a), None)
-        if pivot is None:
-            break
-        inv = 1 / v[pivot]
-        reduced.append((pivot, [a * inv for a in v], [a * inv for a in combo]))
-    # combo is x^d minus its expression in lower powers: monic of degree d.
-    if any(sum((c * w[k] for c, w in zip(combo, powers)), Fraction(0)) for k in range(len(v))):
-        raise AssertionError("minimal polynomial does not annihilate its argument")
-    return Poly(combo)
+    powers = [coords(power)]
+    while _insert(rows, pivots, powers[-1]):
+        power = multiply(power, x)
+        powers.append(coords(power))
+    # The first d powers are independent and fixed by their entries at the d
+    # pivots, so those entries, one column per power, reduce to [I | b], and
+    # x^d = -sum b_i x^i. The check below reads the relation on all coordinates.
+    system, _ = _echelon([w[p] for w in powers] for p in pivots)
+    relation = [-r[-1] for r in system] + [Fraction(1)]
+    if any(sum(c * w[k] for c, w in zip(relation, powers)) for k in range(len(powers[0]))):
+        raise InternalError("minimal polynomial does not annihilate its argument")
+    return Poly(relation)

@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import FDAlgebra, QuotientPresentation, Vec, subalgebra_on
-from .errors import AlgebraMismatchError, NotIdempotentError, UnknownIndexError
-from .linalg import rat_from_str, rat_to_str
+from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, UnknownIndexError
+from .linalg import rat_to_str, rat_vector_from_json
 from .structure import (
     WedderburnReport,
     _basis_traces,
@@ -78,7 +78,7 @@ def _refine(mul, p: Vec, bound: int) -> tuple[Vec, int]:
         if sq == p:
             return p, steps
         if steps >= bound:
-            raise AssertionError("idempotent refinement exceeded its guaranteed bound")
+            raise InternalError("idempotent refinement exceeded its guaranteed bound")
         p = tuple(3 * b - 2 * c for b, c in zip(sq, mul(sq, p)))
         steps += 1
 
@@ -139,9 +139,7 @@ class IdempotentMatrix:
     def from_json_lists(algebra: FDAlgebra, obj) -> "IdempotentMatrix":
         if not isinstance(obj, list) or any(not isinstance(row, list) for row in obj):
             raise ValueError("idempotent matrix JSON must be a nested array")
-        rows = [
-            [[rat_from_str(c) for c in entry] for entry in row] for row in obj
-        ]
+        rows = [[rat_vector_from_json(e, algebra.dim, "matrix entry") for e in row] for row in obj]
         return IdempotentMatrix(algebra, rows)
 
     def __repr__(self) -> str:
@@ -190,7 +188,8 @@ def refine_to_idempotent(qp: QuotientPresentation, p: Sequence) -> tuple[Vec, in
         raise NotIdempotentError("element is not idempotent modulo the ideal")
     bound = _refinement_bound(qp)
     out, steps = _refine(a.multiply, p, bound)
-    assert qp.project(out) == q
+    if qp.project(out) != q:
+        raise InternalError("refinement changed the class modulo the ideal")
     return out, steps
 
 
@@ -205,9 +204,8 @@ def lift_idempotent_matrix(q: IdempotentMatrix, qp: QuotientPresentation) -> Ide
     start = _flatten([[qp.lift(entry) for entry in row] for row in q.entries])
     flat, _ = _refine(lambda x, y: _matrix_product(a, size, x, y), start, bound)
     current = _unflatten(flat, size, a.dim)
-    for u in range(size):
-        for v in range(size):
-            assert qp.project(current[u][v]) == q.entries[u][v]
+    if tuple(tuple(qp.project(e) for e in row) for row in current) != q.entries:
+        raise InternalError("refinement changed a matrix entry modulo the ideal")
     # _refine returned only once P * P = P, so the constructor's check is skipped.
     return IdempotentMatrix.__new__(IdempotentMatrix)._fill(a, current)
 
@@ -228,7 +226,7 @@ def projective_module(presentation: IdempotentMatrix) -> ProjectiveModuleDescrip
             (c * t for d in diagonal for c, t in zip(s.multiply(e, d), traces)), Fraction(0)
         )
         if image_dim.denominator != 1 or not 0 <= image_dim <= size * factor.factor_dim:
-            raise AssertionError("trace of an idempotent is not the dimension of its image")
+            raise InternalError("trace of an idempotent is not the dimension of its image")
         ranks.append(image_dim / factor.factor_dim)
     rank_vec = tuple(ranks)
     uniform = rank_vec[0] if all(r == rank_vec[0] for r in rank_vec) else None

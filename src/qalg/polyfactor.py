@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
-from .errors import BadPrimeError
+from .errors import BadPrimeError, InternalError
 from .poly import Poly
 
 
@@ -162,8 +162,9 @@ def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
-def _gf_derivative(a: list[int], p: int) -> list[int]:
-    return _z_trim([(i * c) % p for i, c in enumerate(a)][1:])
+def _gf_is_squarefree(a: list[int], p: int) -> bool:
+    """Whether a is coprime to its derivative mod p."""
+    return len(_gf_gcd(a, _z_trim([(i * c) % p for i, c in enumerate(a)][1:]), p)) == 1
 
 
 def _gf_kernel(m: list[list[int]], p: int) -> list[list[int]]:
@@ -219,7 +220,8 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     mt = [[(rows[i][j] - (1 if i == j else 0)) % p for i in range(n)] for j in range(n)]
     kern = _gf_kernel(mt, p)
     r = len(kern)
-    assert r >= 1
+    if r < 1:
+        raise InternalError("Berlekamp kernel is empty")
     if r == 1:
         return [f]
     factors = [f]
@@ -245,7 +247,8 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
             factors = nxt
         if len(factors) == r:
             break
-    assert len(factors) == r
+    if len(factors) != r:
+        raise InternalError("Berlekamp splitting found fewer factors than the kernel dimension")
     return [_gf_monic(u, p) for u in factors]
 
 
@@ -291,7 +294,7 @@ def factor_mod_p(p: Poly, prime: int) -> list[Poly]:
     f = _gf_monic(_z_trim(red), prime)
     if len(f) - 1 == 0:
         return []
-    if len(_gf_gcd(f, _gf_derivative(f, prime), prime)) - 1 > 0:
+    if not _gf_is_squarefree(f, prime):
         raise BadPrimeError(f"not squarefree mod {prime}")
     factors = _berlekamp(f, prime)
     polys = [Poly([Fraction(c) for c in u]) for u in factors]
@@ -305,7 +308,8 @@ def factor_mod_p(p: Poly, prime: int) -> list[Poly]:
 
 def _z_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Exact integer quotient and remainder by a monic divisor."""
-    assert b and b[-1] == 1
+    if not b or b[-1] != 1:
+        raise InternalError("divisor is not monic")
     rem = list(a)
     db, da = len(b) - 1, len(a) - 1
     if da < db:
@@ -345,8 +349,8 @@ def _hensel_step(f, g, h, s, t, m):
     c, d = _z_mod(c, m2), _z_mod(d, m2)
     s1 = _z_mod(_z_sub(s, d), m2)
     t1 = _z_mod(_z_sub(t, _z_add(_z_mul(t, b), _z_mul(c, g1))), m2)
-    assert g1 and g1[-1] % m2 == 1 and h1 and h1[-1] % m2 == 1
-    assert not _z_mod(_z_sub(f, _z_mul(g1, h1)), m2)
+    if not (g1 and g1[-1] % m2 == 1 and h1 and h1[-1] % m2 == 1) or _z_mod(_z_sub(f, _z_mul(g1, h1)), m2):
+        raise InternalError("Hensel step does not lift to monic factors")
     return g1, h1, s1, t1, m2
 
 
@@ -364,7 +368,8 @@ def _hensel_lift_list(f: list[int], fs: list[list[int]], p: int, target: int) ->
     for u in fs[k:]:
         h = _z_mod(_z_mul(h, u), p)
     one, s, t = _gf_extgcd(g, h, p)
-    assert one == [1], "modular factors are not coprime"
+    if one != [1]:
+        raise InternalError("modular factors are not coprime")
     m = p
     while m < target:
         g, h, s, t, m = _hensel_step(_z_mod(f, m * m), g, h, s, t, m)
@@ -394,14 +399,8 @@ def _factor_squarefree_monic(s: Poly) -> list[Poly]:
     n = len(ints) - 1
     t_poly = [ints[k] * ell ** (n - 1 - k) for k in range(n)] + [1]
 
-    prime = None
-    for q in _odd_primes():
-        red = [c % q for c in t_poly]
-        fq = _z_trim(list(red))
-        if len(_gf_gcd(fq, _gf_derivative(fq, q), q)) - 1 == 0:
-            prime = q
-            break
-    assert prime is not None
+    # Only finitely many primes divide the discriminant, so the search ends.
+    prime = next(q for q in _odd_primes() if _gf_is_squarefree(_z_trim([c % q for c in t_poly]), q))
 
     modular = _berlekamp([c % prime for c in t_poly], prime)
     modular.sort(key=lambda u: (len(u), u))
@@ -468,5 +467,6 @@ def factor_rational(p: Poly) -> Factorization:
             pairs.append((irr, mult))
     pairs.sort(key=lambda fm: fm[0].sort_key())
     result = Factorization(content=content, factors=tuple(pairs))
-    assert result.expand() == p, "factorization failed to reproduce the input"
+    if result.expand() != p:
+        raise InternalError("factorization failed to reproduce the input")
     return result

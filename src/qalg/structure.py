@@ -34,7 +34,7 @@ from .algebra import (
     quotient_by_ideal,
     subalgebra_on,
 )
-from .errors import NotNilpotentError, NotSemisimpleError, NotSimpleError
+from .errors import InternalError, NotNilpotentError, NotSemisimpleError, NotSimpleError
 from .linalg import Mat, kernel_basis, minimal_polynomial
 from .poly import Poly
 from .polyfactor import factor_rational
@@ -177,7 +177,7 @@ def _partial_fraction_idempotents(
         u = (g * (s % q)) % minpoly
         e = _evaluate_poly_at_element(a, u, z, one)
         if a.multiply(e, e) != e:
-            raise AssertionError("partial fraction idempotent failed")
+            raise InternalError("partial fraction idempotent failed")
         out.append(e)
     return out
 
@@ -218,7 +218,7 @@ def central_primitive_idempotents(s: FDAlgebra) -> tuple[Vec, ...]:
             return tuple(
                 _partial_fraction_idempotents(s, z, s.unit, minpoly, irreducibles)
             )
-    raise AssertionError("no primitive element of the center within the proven bound")
+    raise InternalError("no primitive element of the center within the proven bound")
 
 
 def _corner_subspace(a: FDAlgebra, p: Vec) -> Subspace:
@@ -241,7 +241,7 @@ def _find_nontrivial_idempotent(f: FDAlgebra) -> Vec | None:
         first_modulus = _poly_power(fac.factors[0][0], fac.factors[0][1])
         e = _partial_fraction_idempotents(f, z, f.unit, minpoly, [first_modulus])[0]
         if e == f.zero() or e == f.unit:
-            raise AssertionError("split off a trivial idempotent")
+            raise InternalError("split off a trivial idempotent")
         return e
     return None
 
@@ -311,12 +311,12 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
         ).dim
         degree = isqrt(factor_dim // center_dim)
         if degree * degree * center_dim != factor_dim:
-            raise AssertionError(
+            raise InternalError(
                 "factor dimension is not a square multiple of its center dimension"
             )
         size = _matrix_size_search(factor_alg)
         if size is not None and degree % size != 0:
-            raise AssertionError("matrix size does not divide the degree")
+            raise InternalError("matrix size does not divide the degree")
         factors.append(
             SimpleFactorData(
                 central_idempotent=e,
@@ -328,5 +328,5 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
         )
     total = sum(f.factor_dim for f in factors)
     if total != s.dim:
-        raise AssertionError("factor dimensions do not add up to the quotient's")
+        raise InternalError("factor dimensions do not add up to the quotient's")
     return WedderburnReport(semisimple_quotient=s, factors=tuple(factors))

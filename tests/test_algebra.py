@@ -456,6 +456,31 @@ class TestJson:
         with pytest.raises(ValueError):
             FDAlgebra.from_json_dict([1, 2])
 
+    def test_string_unit_rejected(self):
+        # "10" has length 2 = dim but is not an array of rationals
+        obj = dual_numbers().to_json_dict()
+        obj["unit"] = "10"
+        with pytest.raises(ValueError, match="unit must be a JSON array"):
+            FDAlgebra.from_json_dict(obj)
+
+    def test_string_structure_vector_rejected(self):
+        obj = dual_numbers().to_json_dict()
+        obj["structure"][0][0] = "10"
+        with pytest.raises(ValueError, match="structure vector must be a JSON array"):
+            FDAlgebra.from_json_dict(obj)
+
+    def test_string_structure_row_rejected(self):
+        obj = rationals().to_json_dict()
+        obj["structure"] = ["1"]
+        with pytest.raises(ValueError, match="dim x dim array"):
+            FDAlgebra.from_json_dict(obj)
+
+    def test_bool_dim_rejected(self):
+        obj = rationals().to_json_dict()
+        obj["dim"] = True
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            FDAlgebra.from_json_dict(obj)
+
 
 class TestQuotientPresentationShape:
     def test_fields(self):

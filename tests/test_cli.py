@@ -6,6 +6,8 @@ serialization (sorted keys, two-space indent, trailing newline)."""
 
 import json
 
+import pytest
+
 from qalg.algebra import FDAlgebra
 from qalg.cli import main, render_json
 from qalg.edbounds import (
@@ -115,6 +117,30 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
         assert "missing key" in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("unit", "10"), ("structure", [[["1", "0"], "01"], [["0", "1"], ["0", "0"]]])],
+    )
+    def test_string_in_place_of_array(self, capsys, tmp_path, key, value):
+        obj = {
+            "dim": 2,
+            "unit": ["1", "0"],
+            "structure": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+        }
+        obj[key] = value
+        path = tmp_path / "strings.json"
+        path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "radical", str(path))
+        assert code == 2
+        assert "must be a JSON array" in err
+
+    def test_bool_dim(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"dim": True, "unit": ["1"], "structure": [[["1"]]]}))
+        code, _, err = run(capsys, "radical", str(path))
+        assert code == 2
+        assert "dim must be a positive integer" in err
 
     def test_non_associative_structure(self, capsys, tmp_path):
         bad = {

@@ -28,6 +28,56 @@ def random_matrix(rng, rows, cols, span=5):
     return Mat([[Fraction(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)])
 
 
+def reference_rref(m):
+    """Column-sweep reduced row echelon form, kept as an oracle for the
+    incremental elimination in qalg.linalg: for each column left to right,
+    swap up the first row with a nonzero entry, scale it and clear the column."""
+    rows = [list(r) for r in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        sel = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(rows), tuple(pivots)
+
+
+def random_rational_matrix(rng, rows, cols):
+    """Sparse rational entries, then some rows replaced by zero rows or by
+    combinations of earlier rows, so that ranks fall short of the shape."""
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.6 else Fraction(0)
+
+    out = []
+    for i in range(rows):
+        kind = rng.random()
+        if kind < 0.15:
+            out.append([Fraction(0)] * cols)
+        elif kind < 0.4 and out:
+            a, b = rng.choice(out), rng.choice(out)
+            s, t = entry(), entry()
+            out.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            out.append([entry() for _ in range(cols)])
+    return Mat(out) if out else Mat.zeros(0, cols)
+
+
 class TestRationals:
     def test_rat_accepts_int_string_fraction(self):
         assert rat(3) == Fraction(3)
@@ -102,6 +152,32 @@ class TestRref:
             ech, _ = rref(m)
             # every original row solves against the echelon rows and back
             assert rank(m.vstack(ech)) == rank(m)
+
+
+class TestRrefAgainstColumnSweep:
+    SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (3, 7), (7, 3), (6, 6), (9, 5)]
+
+    def random_matrices(self, seed):
+        rng = random.Random(seed)
+        for rows, cols in self.SHAPES:
+            for _ in range(25):
+                yield random_rational_matrix(rng, rows, cols)
+
+    def test_matrix_and_pivots_equal_reference(self):
+        for m in self.random_matrices(11):
+            ech, pivots = rref(m)
+            ref, ref_pivots = reference_rref(m)
+            assert ech == ref
+            assert pivots == ref_pivots
+            assert ech.shape() == m.shape()
+
+    def test_subspace_basis_is_reference_nonzero_rows(self):
+        for m in self.random_matrices(12):
+            s = Subspace(m.cols, m)
+            ref, ref_pivots = reference_rref(m)
+            assert s.basis.data == ref.data[: len(ref_pivots)]
+            assert s.pivots == ref_pivots
+            assert s.basis.shape() == (len(ref_pivots), m.cols)
 
 
 class TestKernel:

@@ -1,7 +1,11 @@
 """Tests for idempotent lifting and projective-module rank data."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,8 +25,10 @@ from qalg.algebra import (
 from qalg.corpus import fixtures, hom_dim_oracle
 from qalg.errors import (
     AlgebraMismatchError,
+    InternalError,
     NotIdempotentError,
     NotNilpotentError,
+    QalgError,
     UnknownIndexError,
 )
 from qalg.modules import (
@@ -173,6 +179,38 @@ class TestRefineToIdempotent:
             refine_to_idempotent(qp, (2, 5, 0))
 
 
+class TestClassCheckSurvivesOptimize:
+    def test_refine_class_check_raises_under_python_o(self):
+        # _refine patched to return 0, which is not in the class of the unit
+        # modulo the radical of the dual numbers
+        program = (
+            "import qalg.modules\n"
+            "from qalg.algebra import Subspace, dual_numbers, quotient_by_ideal\n"
+            "from qalg.errors import InternalError\n"
+            "a = dual_numbers()\n"
+            "qp = quotient_by_ideal(a, Subspace(2, [[0, 1]]))\n"
+            "qalg.modules._refine = lambda mul, p, bound: (a.zero(), 0)\n"
+            "try:\n"
+            "    qalg.modules.refine_to_idempotent(qp, a.unit)\n"
+            "except InternalError as exc:\n"
+            "    print('raised:', exc)\n"
+        )
+        src = str(Path(qalg.modules.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", program],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "raised: refinement changed the class modulo the ideal\n"
+
+    def test_internal_error_is_not_a_precondition_failure(self):
+        assert issubclass(InternalError, AssertionError)
+        assert not issubclass(InternalError, QalgError)
+
+
 class TestIterationBound:
     def test_iterations_stay_within_logarithmic_bound(self):
         for build in (lambda: upper_triangular(2), lambda: upper_triangular(3),
@@ -321,6 +359,12 @@ class TestIdempotentMatrixType:
         m = matrix_algebra(2)
         p = IdempotentMatrix(m, [[unit_vec(4, 0)]])
         assert IdempotentMatrix.from_json_lists(m, p.to_json_lists()) == p
+
+    def test_json_rejects_string_entry(self):
+        # "10" would otherwise be read as the entry (1, 0), the unit
+        d = dual_numbers()
+        with pytest.raises(ValueError, match="matrix entry must be a JSON array"):
+            IdempotentMatrix.from_json_lists(d, [["10"]])
 
     def test_json_rejects_non_idempotent_payload(self):
         m = matrix_algebra(2)
