@@ -95,7 +95,7 @@ class Subspace:
 class FDAlgebra:
     """Associative unital algebra over Q given by structure constants."""
 
-    __slots__ = ("dim", "structure", "unit", "_hash", "_memo")
+    __slots__ = ("dim", "structure", "unit", "_terms", "_hash", "_memo")
 
     def __init__(self, structure: Sequence[Sequence[Sequence]], unit: Sequence):
         dim = len(structure)
@@ -108,6 +108,14 @@ class FDAlgebra:
             table.append(tuple(as_vector(v, dim) for v in row))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "structure", tuple(table))
+        # _terms[i][j]: the (k, c) with c = structure[i][j][k] nonzero. The
+        # products, validate, the regular matrices, center and the trace form
+        # read this, so zero constants cost them nothing.
+        object.__setattr__(
+            self,
+            "_terms",
+            tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in table),
+        )
         object.__setattr__(self, "unit", as_vector(unit, dim))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_memo", {})
@@ -149,17 +157,14 @@ class FDAlgebra:
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
         x = as_vector(x, self.dim)
         y = as_vector(y, self.dim)
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         out = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = self.structure[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                c = xi * yj
-                for k, s in enumerate(row[j]):
-                    if s != 0:
+            if xi:
+                row = self._terms[i]
+                for j, yj in ys:
+                    c = xi * yj
+                    for k, s in row[j]:
                         out[k] += c * s
         return tuple(out)
 
@@ -178,58 +183,51 @@ class FDAlgebra:
 
     def left_regular_matrix(self, x: Sequence) -> Mat:
         """Matrix of y -> x*y on column coordinate vectors."""
-        x = as_vector(x, self.dim)
-        cols = []
-        for j in range(self.dim):
-            col = [Fraction(0)] * self.dim
-            for i, xi in enumerate(x):
-                if xi != 0:
-                    for k, s in enumerate(self.structure[i][j]):
-                        if s != 0:
-                            col[k] += xi * s
-            cols.append(col)
-        return Mat(cols).transpose()
+        return self._regular_matrix(x, lambda i, j: self._terms[i][j])
 
     def right_regular_matrix(self, x: Sequence) -> Mat:
         """Matrix of y -> y*x on column coordinate vectors."""
+        return self._regular_matrix(x, lambda i, j: self._terms[j][i])
+
+    def _regular_matrix(self, x: Sequence, terms) -> Mat:
+        """Entry (k, j) is the sum over i of x_i * c for (k, c) in terms(i, j)."""
         x = as_vector(x, self.dim)
-        cols = []
-        for j in range(self.dim):
-            col = [Fraction(0)] * self.dim
-            for i, xi in enumerate(x):
-                if xi != 0:
-                    for k, s in enumerate(self.structure[j][i]):
-                        if s != 0:
-                            col[k] += xi * s
-            cols.append(col)
-        return Mat(cols).transpose()
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, xi in enumerate(x):
+            if xi:
+                for j in range(self.dim):
+                    for k, s in terms(i, j):
+                        rows[k][j] += xi * s
+        return Mat(rows)
 
     # -- global structure ----------------------------------------------------
 
     def validate(self) -> None:
         """Check associativity on all basis triples and the unit laws.
 
+        Every triple (i, j, k) is checked, in that lexicographic order; only
+        the products of nonzero structure constants are formed.
+
         Raises ValidationError carrying the first violated triple (i, j, k),
         or with triple None for a unit law failure.
         """
         n = self.dim
-        s = self.structure
+        terms = self._terms
         for i in range(n):
+            ti = terms[i]
             for j in range(n):
+                tij = ti[j]
+                tj = terms[j]
                 for k in range(n):
-                    left = [Fraction(0)] * n
-                    for m, c in enumerate(s[i][j]):
-                        if c != 0:
-                            for t, d in enumerate(s[m][k]):
-                                if d != 0:
-                                    left[t] += c * d
-                    right = [Fraction(0)] * n
-                    for m, c in enumerate(s[j][k]):
-                        if c != 0:
-                            for t, d in enumerate(s[i][m]):
-                                if d != 0:
-                                    right[t] += c * d
-                    if left != right:
+                    # (e_i e_j) e_k - e_i (e_j e_k), by its nonzero coordinates
+                    diff = {}
+                    for m, c in tij:
+                        for t, d in terms[m][k]:
+                            diff[t] = diff.get(t, 0) + c * d
+                    for m, c in tj[k]:
+                        for t, d in ti[m]:
+                            diff[t] = diff.get(t, 0) - c * d
+                    if any(diff.values()):
                         raise ValidationError(
                             f"associativity fails on basis triple ({i}, {j}, {k})",
                             triple=(i, j, k),
@@ -246,11 +244,18 @@ class FDAlgebra:
     @_memoized
     def center(self) -> Subspace:
         """Elements commuting with the whole algebra, as a subspace: the
-        kernel of z -> z*e_j - e_j*z over all j, one row per (j, k)."""
+        kernel of z -> z*e_j - e_j*z over all j, one row per (j, k). Rows
+        that no nonzero structure constant touches are zero and left out."""
         n = self.dim
-        s = self.structure
-        rows = [[s[j][i][k] - s[i][j][k] for i in range(n)] for j in range(n) for k in range(n)]
-        return Subspace(n, kernel_basis(Mat(rows)))
+        rows: dict[tuple[int, int], list[Fraction]] = {}
+        for i in range(n):
+            for j in range(n):
+                for k, c in self._terms[j][i]:
+                    rows.setdefault((j, k), [Fraction(0)] * n)[i] += c
+                for k, c in self._terms[i][j]:
+                    rows.setdefault((j, k), [Fraction(0)] * n)[i] -= c
+        m = Mat([rows[jk] for jk in sorted(rows)]) if rows else Mat.zeros(0, n)
+        return Subspace(n, kernel_basis(m))
 
     # -- serialization -------------------------------------------------------
 

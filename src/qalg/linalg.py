@@ -36,14 +36,21 @@ def rat_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
 def rat_from_str(s: str) -> Fraction:
     """Parse 'a' or 'a/b' (optional sign, decimal digits) into a Fraction."""
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {type(s).__name__}")
-    if not re.fullmatch(r"[+-]?\d+(/\d+)?", s.strip()):
+    match = _RATIONAL.fullmatch(s.strip())
+    if match is None:
         raise ValueError(f"not a rational: {s!r}")
+    num, den = match.groups()
+    if den is None:
+        return Fraction(int(num))
     try:
-        return Fraction(s.strip())
+        return Fraction(int(num), int(den))
     except ZeroDivisionError as exc:
         raise ValueError(f"not a rational: {s!r}") from exc
 
@@ -56,8 +63,9 @@ def rat_vector_from_json(obj, length: int, what: str) -> tuple[Fraction, ...]:
 
 
 def as_vector(values: Iterable, length: int | None = None) -> tuple[Fraction, ...]:
-    """Coerce a sequence to a tuple of Fractions, optionally checking length."""
-    v = tuple(rat(x) for x in values)
+    """Coerce a sequence to a tuple of Fractions, optionally checking length.
+    An entry that already is a Fraction is kept as it is."""
+    v = tuple(x if type(x) is Fraction else rat(x) for x in values)
     if length is not None and len(v) != length:
         raise ValueError(f"expected a vector of length {length}, got {len(v)}")
     return v
@@ -69,7 +77,7 @@ class Mat:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, data: Sequence[Sequence]):
-        rows = tuple(tuple(rat(x) for x in row) for row in data)
+        rows = tuple(tuple(x if type(x) is Fraction else rat(x) for x in row) for row in data)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -105,10 +113,10 @@ class Mat:
         return tuple(r[j] for r in self.data)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.data == other.data
+        return isinstance(other, Mat) and self.shape() == other.shape() and self.data == other.data
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.rows, self.cols, self.data))
 
     def __add__(self, other: "Mat") -> "Mat":
         self._check_same_shape(other)

@@ -98,23 +98,21 @@ def _ideal_nilpotency_index(a: FDAlgebra, n: Subspace) -> int:
 def _basis_traces(a: FDAlgebra) -> Vec:
     """tr(L_b) for each basis element b, so that the trace of left
     multiplication by y is the linear functional sum_k y_k * tr(L_{b_k})."""
-    s = a.structure
-    return tuple(sum((s[k][j][j] for j in range(a.dim)), Fraction(0)) for k in range(a.dim))
+    return tuple(
+        sum((c for j, terms in enumerate(row) for t, c in terms if t == j), Fraction(0))
+        for row in a._terms
+    )
 
 
 @_memoized
 def jacobson_radical(a: FDAlgebra) -> RadicalReport:
     """Radical as the kernel of the trace form B(x, y) = tr(L_{xy})."""
     n = a.dim
-    s = a.structure
     traces = _basis_traces(a)
     gram = Mat(
         [
-            [
-                sum((s[i][j][k] * traces[k] for k in range(n)), Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
+            [sum((c * traces[k] for k, c in terms), Fraction(0)) for terms in row]
+            for row in a._terms
         ]
     )
     radical = Subspace(n, kernel_basis(gram))

@@ -48,6 +48,88 @@ def random_element(rng, a, span=3):
     return tuple(Fraction(rng.randint(-span, span)) for _ in range(a.dim))
 
 
+def reference_multiply(a, x, y):
+    """Dense product over every structure constant, zeros included: an oracle
+    for the nonzero-constant table that FDAlgebra.multiply reads."""
+    s = a.structure
+    out = [Fraction(0)] * a.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k in range(a.dim):
+                out[k] += Fraction(xi) * Fraction(yj) * s[i][j][k]
+    return tuple(out)
+
+
+def reference_regular_matrix(a, x, side):
+    """Dense matrix of y -> x*y (side "left") or y -> y*x: entry (k, j) sums
+    x_i times the e_k coordinate of e_i e_j, or of e_j e_i, over every i."""
+    s = a.structure
+    n = a.dim
+
+    def const(i, j, k):
+        return s[i][j][k] if side == "left" else s[j][i][k]
+
+    return Mat(
+        [
+            [sum((Fraction(x[i]) * const(i, j, k) for i in range(n)), Fraction(0)) for j in range(n)]
+            for k in range(n)
+        ]
+    )
+
+
+def reference_validate(a):
+    """Dense associativity check over all basis triples, scanning every
+    coefficient, then the unit laws through reference_multiply."""
+    n = a.dim
+    s = a.structure
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                left = [Fraction(0)] * n
+                for m, c in enumerate(s[i][j]):
+                    if c != 0:
+                        for t, d in enumerate(s[m][k]):
+                            if d != 0:
+                                left[t] += c * d
+                right = [Fraction(0)] * n
+                for m, c in enumerate(s[j][k]):
+                    if c != 0:
+                        for t, d in enumerate(s[i][m]):
+                            if d != 0:
+                                right[t] += c * d
+                if left != right:
+                    raise ValidationError(
+                        f"associativity fails on basis triple ({i}, {j}, {k})",
+                        triple=(i, j, k),
+                    )
+    for i in range(n):
+        e = a.basis_element(i)
+        if reference_multiply(a, a.unit, e) != e or reference_multiply(a, e, a.unit) != e:
+            raise ValidationError(f"unit law fails on basis element {i}")
+
+
+def validation_outcome(check, a):
+    try:
+        check(a)
+    except ValidationError as exc:
+        return ("fails", exc.triple)
+    return ("passes", None)
+
+
+def perturbed_copies(a, rng, constants=6, units=2):
+    """Copies of a with one structure constant, or one unit entry, moved by +-1."""
+    n = a.dim
+    for _ in range(constants):
+        i, j, k = (rng.randrange(n) for _ in range(3))
+        structure = [[list(v) for v in row] for row in a.structure]
+        structure[i][j][k] += rng.choice((-1, 1))
+        yield FDAlgebra(structure, a.unit)
+    for _ in range(units):
+        unit = list(a.unit)
+        unit[rng.randrange(n)] += rng.choice((-1, 1))
+        yield FDAlgebra(a.structure, unit)
+
+
 class TestSubspace:
     def test_canonical_basis_is_spanning_set_independent(self):
         s1 = Subspace(3, [[1, 1, 0], [0, 0, 1]])
@@ -126,6 +208,51 @@ class TestConstruction:
             direct_product([rationals(), matrix_algebra(2)]),
         ]:
             a.validate()
+
+
+class TestAgainstDenseReferences:
+    def test_validate_agrees_on_fixtures_and_perturbed_copies(self):
+        rng = random.Random(10)
+        outcomes = []
+        for spec in fixtures():
+            a = spec.build()
+            for b in [a, *perturbed_copies(a, rng)]:
+                got = validation_outcome(FDAlgebra.validate, b)
+                assert got == validation_outcome(reference_validate, b), spec.name
+                outcomes.append(got)
+        # The perturbations exercise all three outcomes.
+        assert any(o == ("passes", None) for o in outcomes)
+        assert any(o == ("fails", None) for o in outcomes)
+        assert sum(o[1] is not None for o in outcomes) > 50
+
+    def test_products_and_regular_matrices_agree_on_fixtures(self):
+        rng = random.Random(11)
+        for spec in fixtures():
+            a = spec.build()
+            samples = [random_element(rng, a, span=2) for _ in range(4)]
+            samples += [a.zero(), a.basis_element(rng.randrange(a.dim))]
+            for x in samples:
+                y = random_element(rng, a, span=1)
+                assert a.multiply(x, y) == reference_multiply(a, x, y), spec.name
+                assert a.left_regular_matrix(x) == reference_regular_matrix(a, x, "left")
+                assert a.right_regular_matrix(x) == reference_regular_matrix(a, x, "right")
+            ints = [rng.randint(-2, 2) for _ in range(a.dim)]
+            strings = [f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in range(a.dim)]
+            assert a.multiply(ints, strings) == reference_multiply(a, ints, strings)
+            assert a.left_regular_matrix(strings) == reference_regular_matrix(a, strings, "left")
+            assert a.right_regular_matrix(ints) == reference_regular_matrix(a, ints, "right")
+
+    def test_floats_still_rejected(self):
+        a = matrix_algebra(2)
+        x = [0.5, 0, 0, 0]
+        for call in (
+            lambda: a.multiply(x, a.unit),
+            lambda: a.multiply(a.unit, x),
+            lambda: a.left_regular_matrix(x),
+            lambda: a.right_regular_matrix(x),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
 
 class TestMultiplication:

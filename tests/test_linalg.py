@@ -2,6 +2,7 @@
 polynomials. Expected values for the small cases were worked out by hand."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,19 @@ from qalg.linalg import (
     solve_linear,
 )
 from qalg.poly import Poly
+
+
+def reference_rat_from_str(s):
+    """The two-pass parser qalg.linalg.rat_from_str replaced, kept as an
+    oracle: a syntax check by regex, then Fraction's own string parser."""
+    if not isinstance(s, str):
+        raise ValueError(f"expected a rational string, got {type(s).__name__}")
+    if not re.fullmatch(r"[+-]?\d+(/\d+)?", s.strip()):
+        raise ValueError(f"not a rational: {s!r}")
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError as exc:
+        raise ValueError(f"not a rational: {s!r}") from exc
 
 
 def random_matrix(rng, rows, cols, span=5):
@@ -55,7 +69,7 @@ def reference_rref(m):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-    return Mat(rows), tuple(pivots)
+    return (Mat(rows) if rows else Mat.zeros(0, ncols)), tuple(pivots)
 
 
 def random_rational_matrix(rng, rows, cols):
@@ -104,10 +118,42 @@ class TestRationals:
             with pytest.raises(ValueError):
                 rat_from_str(bad)
 
+    def test_rat_from_str_matches_two_pass_parser(self):
+        cases = [
+            " 3 ", "+0/5", "-7/14", "1/0", "1.5", "1e3", "1_0", "", "/2", "2/",
+            "\u0663", "\u0663/\u0664", "\uff17", "\u00b2", "\u00a05\u2003", "0/0",
+            "-0", "+", "-", "007/0021", "1/-2", "--1", "1//2", "3 /4", " -3/4\n",
+            "12345678901234567890/3", "0x10", "1/2/3", "nan", "inf",
+        ]
+        for s in cases:
+            try:
+                expected = reference_rat_from_str(s)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    rat_from_str(s)
+            else:
+                got = rat_from_str(s)
+                assert type(got) is Fraction and got == expected, s
+
     def test_as_vector_checks_length(self):
         assert as_vector([1, "1/2"], 2) == (Fraction(1), Fraction(1, 2))
         with pytest.raises(ValueError):
             as_vector([1, 2, 3], 2)
+
+    def test_fractions_pass_through_and_the_rest_is_coerced(self):
+        class Half(Fraction):
+            pass
+
+        q = Fraction(3, 4)
+        v = as_vector([q, 2, "1/3", Half(1, 2), True])
+        assert v[0] is q and Mat([[q]])[0][0] is q
+        assert v == (q, Fraction(2), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+        assert all(type(x) is Fraction for x in v)
+        assert all(type(x) is Fraction for x in Mat([[2, "1/3", Half(1, 2)]])[0])
+        with pytest.raises(TypeError):
+            as_vector([q, 0.5])
+        with pytest.raises(TypeError):
+            Mat([[q, 0.5]])
 
 
 class TestRref:
@@ -339,6 +385,13 @@ class TestZeroRows:
 
     def test_solution_of_no_equations_has_full_shape(self):
         assert solve_linear(Mat.zeros(0, 2), Mat.zeros(0, 1)) == Mat.zeros(2, 1)
+
+    def test_equality_and_hash_see_the_shape(self):
+        assert Mat.zeros(0, 3) != Mat.zeros(0, 5)
+        assert hash(Mat.zeros(0, 3)) != hash(Mat.zeros(0, 5))
+        assert Mat.zeros(0, 3) == Mat.zeros(0, 3)
+        assert hash(Mat.zeros(0, 3)) == hash(Mat.zeros(0, 3))
+        assert Mat.zeros(0, 3) != Mat.zeros(3, 0)
 
     def test_zero_subspace_basis_has_ambient_width(self):
         assert Subspace(3, []).basis.shape() == (0, 3)
