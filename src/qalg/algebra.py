@@ -1,8 +1,12 @@
 """Finite-dimensional associative unital algebras over the rationals.
 
 An algebra is given by structure constants: ``structure[i][j]`` is the
-coordinate vector of the basis product e_i * e_j. Elements are plain tuples of
-Fractions relative to the algebra's basis; there is no element wrapper class.
+coordinate vector of the basis product e_i * e_j. It stores them once, as the
+nonzero integer numerators over one common denominator, and computes products,
+associativity checks, regular matrices, the center and the trace form in
+Python ints; ``structure`` is derived from that table on demand. Elements are
+plain tuples of Fractions relative to the algebra's basis; there is no element
+wrapper class.
 All derived objects (center, quotients, subalgebras) use reduced row echelon
 bases so equal inputs always produce identical outputs.
 """
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -21,9 +26,34 @@ from .errors import (
     NotAnIdealError,
     ValidationError,
 )
-from .linalg import Mat, _echelon, _reduce, as_vector, kernel_basis, rat, rat_to_str, rat_vector_from_json, rref
+from .linalg import (
+    Mat,
+    _echelon,
+    _reduce,
+    _vector_from_json,
+    as_vector,
+    kernel_basis,
+    rat,
+    rat_from_str,
+    rat_to_str,
+    rref,
+)
 
 Vec = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+
+
+def _numerators(v: Vec) -> tuple[int, list[tuple[int, int]]]:
+    """The lcm d of the denominators of v, and the pairs (i, v_i * d) for
+    the nonzero v_i."""
+    d = lcm(*{c.denominator for c in v})
+    return d, [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(v) if c]
+
+
+def _over(numerators: Sequence[int], den: int) -> Vec:
+    """The Fractions n / den for integer numerators n."""
+    return tuple(Fraction(c, den) if c else _ZERO for c in numerators)
 
 
 def _memoized(fn):
@@ -93,35 +123,65 @@ class Subspace:
 
 
 class FDAlgebra:
-    """Associative unital algebra over Q given by structure constants."""
+    """Associative unital algebra over Q given by structure constants.
 
-    __slots__ = ("dim", "structure", "unit", "_terms", "_hash", "_memo")
+    The constants are stored once, as integer numerators over one common
+    denominator: ``_terms[i][j]`` holds the pairs (k, n) with n a nonzero int
+    and n / _den the e_k coordinate of e_i * e_j, and ``_den`` is the lcm of
+    the reduced denominators of all constants. Products, validate, the
+    regular matrices, the center and the trace form work on these ints, and
+    zero constants cost them nothing. ``structure``, the dense tuples of
+    Fractions, is rebuilt from the table on each access.
+    """
+
+    __slots__ = ("dim", "unit", "_den", "_terms", "_hash", "_memo")
 
     def __init__(self, structure: Sequence[Sequence[Sequence]], unit: Sequence):
         dim = len(structure)
         if dim < 1:
             raise ValueError("algebra dimension must be at least 1")
-        table = []
+        nonzero = []
         for i, row in enumerate(structure):
             if len(row) != dim:
                 raise ValueError(f"structure row {i} has length {len(row)}, expected {dim}")
-            table.append(tuple(as_vector(v, dim) for v in row))
+            nonzero.append([[(k, c) for k, c in enumerate(as_vector(v, dim)) if c] for v in row])
+        den = lcm(*{c.denominator for row in nonzero for v in row for _, c in v})
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "structure", tuple(table))
-        # _terms[i][j]: the (k, c) with c = structure[i][j][k] nonzero. The
-        # products, validate, the regular matrices, center and the trace form
-        # read this, so zero constants cost them nothing.
+        object.__setattr__(self, "unit", as_vector(unit, dim))
+        object.__setattr__(self, "_den", den)
         object.__setattr__(
             self,
             "_terms",
-            tuple(tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in table),
+            tuple(
+                tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in row)
+                for row in nonzero
+            ),
         )
-        object.__setattr__(self, "unit", as_vector(unit, dim))
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FDAlgebra is immutable")
+
+    @property
+    def structure(self) -> tuple[tuple[Vec, ...], ...]:
+        """structure[i][j] is the coordinate vector of e_i * e_j."""
+        return tuple(tuple(tuple(v) for v in row) for row in self._dense(_ZERO, Fraction))
+
+    def _dense(self, zero, entry) -> list[list[list]]:
+        """The constants as dense lists: entry(n / _den) for each (k, n) of
+        the table, and zero elsewhere."""
+        n, den = self.dim, self._den
+        out = []
+        for row in self._terms:
+            vecs = []
+            for terms in row:
+                v = [zero] * n
+                for k, c in terms:
+                    v[k] = entry(Fraction(c, den))
+                vecs.append(v)
+            out.append(vecs)
+        return out
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -130,13 +190,14 @@ class FDAlgebra:
             isinstance(other, FDAlgebra)
             and self.dim == other.dim
             and self.unit == other.unit
-            and self.structure == other.structure
+            and self._den == other._den
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.dim, self.unit, self.structure))
+            h = hash((self.dim, self.unit, self._den, self._terms))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -155,18 +216,17 @@ class FDAlgebra:
         return as_vector(values, self.dim)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
-        x = as_vector(x, self.dim)
-        y = as_vector(y, self.dim)
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if xi:
-                row = self._terms[i]
-                for j, yj in ys:
-                    c = xi * yj
-                    for k, s in row[j]:
-                        out[k] += c * s
-        return tuple(out)
+        xd, xs = _numerators(as_vector(x, self.dim))
+        yd, ys = _numerators(as_vector(y, self.dim))
+        out = [0] * self.dim
+        terms = self._terms
+        for i, xi in xs:
+            row = terms[i]
+            for j, yj in ys:
+                c = xi * yj
+                for k, s in row[j]:
+                    out[k] += c * s
+        return _over(out, xd * yd * self._den)
 
     def power(self, x: Sequence, n: int) -> Vec:
         if n < 0:
@@ -190,15 +250,16 @@ class FDAlgebra:
         return self._regular_matrix(x, lambda i, j: self._terms[j][i])
 
     def _regular_matrix(self, x: Sequence, terms) -> Mat:
-        """Entry (k, j) is the sum over i of x_i * c for (k, c) in terms(i, j)."""
-        x = as_vector(x, self.dim)
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, xi in enumerate(x):
-            if xi:
-                for j in range(self.dim):
-                    for k, s in terms(i, j):
-                        rows[k][j] += xi * s
-        return Mat(rows)
+        """Entry (k, j) is the sum over i of x_i * n / _den for (k, n) in terms(i, j)."""
+        n = self.dim
+        xd, xs = _numerators(as_vector(x, n))
+        rows = [[0] * n for _ in range(n)]
+        for i, xi in xs:
+            for j in range(n):
+                for k, s in terms(i, j):
+                    rows[k][j] += xi * s
+        den = xd * self._den
+        return Mat([_over(r, den) for r in rows])
 
     # -- global structure ----------------------------------------------------
 
@@ -206,7 +267,9 @@ class FDAlgebra:
         """Check associativity on all basis triples and the unit laws.
 
         Every triple (i, j, k) is checked, in that lexicographic order; only
-        the products of nonzero structure constants are formed.
+        the products of nonzero structure constants are formed. Both sides
+        of a triple have the denominator _den^2, so their integer numerators
+        are compared.
 
         Raises ValidationError carrying the first violated triple (i, j, k),
         or with triple None for a unit law failure.
@@ -238,8 +301,8 @@ class FDAlgebra:
                 raise ValidationError(f"unit law fails on basis element {i}")
 
     def is_commutative(self) -> bool:
-        s = self.structure
-        return all(s[i][j] == s[j][i] for i in range(self.dim) for j in range(i))
+        t = self._terms
+        return all(t[i][j] == t[j][i] for i in range(self.dim) for j in range(i))
 
     @_memoized
     def center(self) -> Subspace:
@@ -247,14 +310,14 @@ class FDAlgebra:
         kernel of z -> z*e_j - e_j*z over all j, one row per (j, k). Rows
         that no nonzero structure constant touches are zero and left out."""
         n = self.dim
-        rows: dict[tuple[int, int], list[Fraction]] = {}
+        rows: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
             for j in range(n):
                 for k, c in self._terms[j][i]:
-                    rows.setdefault((j, k), [Fraction(0)] * n)[i] += c
+                    rows.setdefault((j, k), [0] * n)[i] += c
                 for k, c in self._terms[i][j]:
-                    rows.setdefault((j, k), [Fraction(0)] * n)[i] -= c
-        m = Mat([rows[jk] for jk in sorted(rows)]) if rows else Mat.zeros(0, n)
+                    rows.setdefault((j, k), [0] * n)[i] -= c
+        m = Mat([_over(rows[jk], self._den) for jk in sorted(rows)]) if rows else Mat.zeros(0, n)
         return Subspace(n, kernel_basis(m))
 
     # -- serialization -------------------------------------------------------
@@ -263,9 +326,7 @@ class FDAlgebra:
         return {
             "dim": self.dim,
             "unit": [rat_to_str(c) for c in self.unit],
-            "structure": [
-                [[rat_to_str(c) for c in vec] for vec in row] for row in self.structure
-            ],
+            "structure": self._dense("0", rat_to_str),
         }
 
     @staticmethod
@@ -283,8 +344,20 @@ class FDAlgebra:
             not isinstance(row, list) or len(row) != dim for row in structure
         ):
             raise ValueError("structure must be a dim x dim array of vectors")
-        parsed = [[rat_vector_from_json(v, dim, "structure vector") for v in row] for row in structure]
-        return FDAlgebra(parsed, rat_vector_from_json(obj["unit"], dim, "unit"))
+        # Each distinct entry string is parsed once; whatever is not a
+        # string goes to rat_from_str, which rejects it.
+        seen: dict[str, Fraction] = {}
+
+        def parse(c) -> Fraction:
+            if type(c) is not str:
+                return rat_from_str(c)
+            q = seen.get(c)
+            if q is None:
+                q = seen[c] = rat_from_str(c)
+            return q
+
+        parsed = [[_vector_from_json(v, dim, "structure vector", parse) for v in row] for row in structure]
+        return FDAlgebra(parsed, _vector_from_json(obj["unit"], dim, "unit", parse))
 
 
 def subalgebra_on(a: FDAlgebra, sub: Subspace, unit_vec: Sequence) -> FDAlgebra:
@@ -445,6 +518,7 @@ def matrix_over(base: FDAlgebra | None, n: int) -> FDAlgebra:
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     bdim = 1 if base is None else base.dim
+    base_structure = None if base is None else base.structure
     dim = n * n * bdim
     zero = Fraction(0)
 
@@ -465,7 +539,7 @@ def matrix_over(base: FDAlgebra | None, n: int) -> FDAlgebra:
                                 coeffs = (
                                     (Fraction(1),)
                                     if base is None
-                                    else base.structure[t][u]
+                                    else base_structure[t][u]
                                 )
                                 for w, c in enumerate(coeffs):
                                     if c != 0:
@@ -550,10 +624,11 @@ def direct_product(algebras: Sequence[FDAlgebra]) -> FDAlgebra:
     structure = [[tuple([zero] * dim) for _ in range(dim)] for _ in range(dim)]
     unit = [zero] * dim
     for a, off in zip(algebras, offsets):
+        table = a.structure
         for i in range(a.dim):
             for j in range(a.dim):
                 vec = [zero] * dim
-                for k, c in enumerate(a.structure[i][j]):
+                for k, c in enumerate(table[i][j]):
                     vec[off + k] = c
                 structure[off + i][off + j] = tuple(vec)
         for k, c in enumerate(a.unit):

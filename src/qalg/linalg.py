@@ -57,9 +57,14 @@ def rat_from_str(s: str) -> Fraction:
 
 def rat_vector_from_json(obj, length: int, what: str) -> tuple[Fraction, ...]:
     """Parse a JSON array of `length` rational strings ('a' or 'a/b')."""
+    return _vector_from_json(obj, length, what, rat_from_str)
+
+
+def _vector_from_json(obj, length: int, what: str, parse) -> tuple[Fraction, ...]:
+    """rat_vector_from_json with each entry read by parse."""
     if not isinstance(obj, list) or len(obj) != length:
         raise ValueError(f"{what} must be a JSON array of {length} rational strings")
-    return tuple(rat_from_str(c) for c in obj)
+    return tuple(parse(c) for c in obj)
 
 
 def as_vector(values: Iterable, length: int | None = None) -> tuple[Fraction, ...]:
@@ -167,9 +172,10 @@ class Mat:
         return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Matrix times column vector, returned as a flat tuple."""
-        vv = as_vector(v, self.cols)
-        return tuple(sum((a * x for a, x in zip(r, vv)), Fraction(0)) for r in self.data)
+        """Matrix times column vector, returned as a flat tuple. Zero
+        entries of v and of each row are skipped."""
+        vs = [(j, x) for j, x in enumerate(as_vector(v, self.cols)) if x]
+        return tuple(sum((a * x for j, x in vs if (a := r[j])), Fraction(0)) for r in self.data)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:

@@ -95,26 +95,24 @@ def _ideal_nilpotency_index(a: FDAlgebra, n: Subspace) -> int:
     return t
 
 
+def _trace_numerators(a: FDAlgebra) -> list[int]:
+    """tr(L_b) * a._den for each basis element b."""
+    return [sum(c for j, terms in enumerate(row) for t, c in terms if t == j) for row in a._terms]
+
+
 def _basis_traces(a: FDAlgebra) -> Vec:
     """tr(L_b) for each basis element b, so that the trace of left
     multiplication by y is the linear functional sum_k y_k * tr(L_{b_k})."""
-    return tuple(
-        sum((c for j, terms in enumerate(row) for t, c in terms if t == j), Fraction(0))
-        for row in a._terms
-    )
+    return tuple(Fraction(t, a._den) for t in _trace_numerators(a))
 
 
 @_memoized
 def jacobson_radical(a: FDAlgebra) -> RadicalReport:
     """Radical as the kernel of the trace form B(x, y) = tr(L_{xy})."""
     n = a.dim
-    traces = _basis_traces(a)
-    gram = Mat(
-        [
-            [sum((c * traces[k] for k, c in terms), Fraction(0)) for terms in row]
-            for row in a._terms
-        ]
-    )
+    traces = _trace_numerators(a)
+    # B(e_i, e_j) * _den^2, in integers: scaling keeps the kernel.
+    gram = Mat([[sum(c * traces[k] for k, c in terms) for terms in row] for row in a._terms])
     radical = Subspace(n, kernel_basis(gram))
     index = _ideal_nilpotency_index(a, radical)
     quotient = quotient_by_ideal(a, radical)
@@ -302,7 +300,8 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
         factor_space = Subspace(
             s.dim, [s.multiply(e, s.basis_element(i)) for i in range(s.dim)]
         )
-        factor_alg = subalgebra_on(s, factor_space, e)
+        # A lone idempotent is the unit, and its factor is s itself.
+        factor_alg = s if len(idempotents) == 1 else subalgebra_on(s, factor_space, e)
         factor_dim = factor_space.dim
         center_dim = Subspace(
             s.dim, [s.multiply(e, z) for z in center.vectors()]

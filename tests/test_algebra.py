@@ -1,6 +1,7 @@
 """Tests for the finite-dimensional algebra type: construction, validation,
 multiplication, centers, quotients, and the JSON wire format."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from qalg.errors import (
     ValidationError,
 )
 from qalg.linalg import Mat, kernel_basis
+from qalg.structure import _basis_traces
 
 # Latin square with two-sided identity 0 that is not associative
 # ((1*1)*2 = 0*2 = 2 but 1*(1*2) = 1*3 = 4): a loop, not a group.
@@ -48,23 +50,50 @@ def random_element(rng, a, span=3):
     return tuple(Fraction(rng.randint(-span, span)) for _ in range(a.dim))
 
 
-def reference_multiply(a, x, y):
-    """Dense product over every structure constant, zeros included: an oracle
-    for the nonzero-constant table that FDAlgebra.multiply reads."""
-    s = a.structure
-    out = [Fraction(0)] * a.dim
+# Basis scalings f_i = q_i e_i, cycled over the basis, that give the
+# rescaled copies of the fixtures mixed denominators.
+SCALES = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5))
+
+
+def rescaled(s, unit):
+    """Dense constants and unit of an algebra on the basis f_i = q_i e_i, q_i
+    from SCALES: f_i f_j = sum_k (q_i q_j / q_k) c_ijk f_k, and the unit
+    sum_k u_k e_k is sum_k (u_k / q_k) f_k."""
+    n = len(s)
+    q = [SCALES[i % len(SCALES)] for i in range(n)]
+    return (
+        [[[q[i] * q[j] * s[i][j][k] / q[k] for k in range(n)] for j in range(n)] for i in range(n)],
+        [unit[k] / q[k] for k in range(n)],
+    )
+
+
+def dense_tables():
+    """(name, structure, unit) as dense lists of Fractions: every fixture,
+    and its rescaled copy."""
+    for spec in fixtures():
+        a = spec.build()
+        s = [[list(v) for v in row] for row in a.structure]
+        unit = list(a.unit)
+        yield spec.name, s, unit
+        yield spec.name + "/rescaled", *rescaled(s, unit)
+
+
+def reference_multiply(s, x, y):
+    """Dense product over every structure constant of the lists s, zeros
+    included: an oracle for the integer table that FDAlgebra.multiply reads."""
+    n = len(s)
+    out = [Fraction(0)] * n
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            for k in range(a.dim):
+            for k in range(n):
                 out[k] += Fraction(xi) * Fraction(yj) * s[i][j][k]
     return tuple(out)
 
 
-def reference_regular_matrix(a, x, side):
+def reference_regular_matrix(s, x, side):
     """Dense matrix of y -> x*y (side "left") or y -> y*x: entry (k, j) sums
     x_i times the e_k coordinate of e_i e_j, or of e_j e_i, over every i."""
-    s = a.structure
-    n = a.dim
+    n = len(s)
 
     def const(i, j, k):
         return s[i][j][k] if side == "left" else s[j][i][k]
@@ -77,11 +106,10 @@ def reference_regular_matrix(a, x, side):
     )
 
 
-def reference_validate(a):
-    """Dense associativity check over all basis triples, scanning every
-    coefficient, then the unit laws through reference_multiply."""
-    n = a.dim
-    s = a.structure
+def reference_validate(s, unit):
+    """Dense associativity check over all basis triples of the lists s,
+    scanning every coefficient, then the unit laws through reference_multiply."""
+    n = len(s)
     for i in range(n):
         for j in range(n):
             for k in range(n):
@@ -103,31 +131,46 @@ def reference_validate(a):
                         triple=(i, j, k),
                     )
     for i in range(n):
-        e = a.basis_element(i)
-        if reference_multiply(a, a.unit, e) != e or reference_multiply(a, e, a.unit) != e:
+        e = tuple(Fraction(int(t == i)) for t in range(n))
+        if reference_multiply(s, unit, e) != e or reference_multiply(s, e, unit) != e:
             raise ValidationError(f"unit law fails on basis element {i}")
 
 
-def validation_outcome(check, a):
+def reference_center(s):
+    """Kernel of the stacked dense matrices of z -> z e_j - e_j z."""
+    n = len(s)
+    rows = [
+        [s[i][j][k] - s[j][i][k] for i in range(n)] for j in range(n) for k in range(n)
+    ]
+    return Subspace(n, kernel_basis(Mat(rows)))
+
+
+def reference_traces(s):
+    """tr(L_{e_i}): the sum over j of the e_j coordinate of e_i e_j."""
+    return tuple(sum((s[i][j][j] for j in range(len(s))), Fraction(0)) for i in range(len(s)))
+
+
+def validation_outcome(check):
     try:
-        check(a)
+        check()
     except ValidationError as exc:
         return ("fails", exc.triple)
     return ("passes", None)
 
 
-def perturbed_copies(a, rng, constants=6, units=2):
-    """Copies of a with one structure constant, or one unit entry, moved by +-1."""
-    n = a.dim
+def perturbed_copies(s, unit, rng, constants=6, units=2):
+    """Copies of dense lists with one structure constant, or one unit entry,
+    moved by +-1."""
+    n = len(s)
     for _ in range(constants):
         i, j, k = (rng.randrange(n) for _ in range(3))
-        structure = [[list(v) for v in row] for row in a.structure]
-        structure[i][j][k] += rng.choice((-1, 1))
-        yield FDAlgebra(structure, a.unit)
+        moved = [[list(v) for v in row] for row in s]
+        moved[i][j][k] += rng.choice((-1, 1))
+        yield moved, unit
     for _ in range(units):
-        unit = list(a.unit)
-        unit[rng.randrange(n)] += rng.choice((-1, 1))
-        yield FDAlgebra(a.structure, unit)
+        moved = list(unit)
+        moved[rng.randrange(n)] += rng.choice((-1, 1))
+        yield s, moved
 
 
 class TestSubspace:
@@ -211,36 +254,60 @@ class TestConstruction:
 
 
 class TestAgainstDenseReferences:
+    """Every fixture and its rescaled copy, against oracles that read only
+    the dense lists the algebra was built from."""
+
+    def test_rescaled_copies_have_mixed_denominators(self):
+        dens = {name: FDAlgebra(s, unit)._den for name, s, unit in dense_tables()}
+        assert all(d == 1 for name, d in dens.items() if not name.endswith("/rescaled"))
+        assert sum(d > 1 for d in dens.values()) >= 10
+
     def test_validate_agrees_on_fixtures_and_perturbed_copies(self):
         rng = random.Random(10)
         outcomes = []
-        for spec in fixtures():
-            a = spec.build()
-            for b in [a, *perturbed_copies(a, rng)]:
-                got = validation_outcome(FDAlgebra.validate, b)
-                assert got == validation_outcome(reference_validate, b), spec.name
+        for name, s0, unit0 in dense_tables():
+            for s, unit in [(s0, unit0), *perturbed_copies(s0, unit0, rng)]:
+                got = validation_outcome(FDAlgebra(s, unit).validate)
+                assert got == validation_outcome(lambda: reference_validate(s, unit)), name
                 outcomes.append(got)
         # The perturbations exercise all three outcomes.
         assert any(o == ("passes", None) for o in outcomes)
         assert any(o == ("fails", None) for o in outcomes)
-        assert sum(o[1] is not None for o in outcomes) > 50
+        assert sum(o[1] is not None for o in outcomes) > 100
 
     def test_products_and_regular_matrices_agree_on_fixtures(self):
         rng = random.Random(11)
-        for spec in fixtures():
-            a = spec.build()
+        for name, s, unit in dense_tables():
+            a = FDAlgebra(s, unit)
             samples = [random_element(rng, a, span=2) for _ in range(4)]
             samples += [a.zero(), a.basis_element(rng.randrange(a.dim))]
             for x in samples:
                 y = random_element(rng, a, span=1)
-                assert a.multiply(x, y) == reference_multiply(a, x, y), spec.name
-                assert a.left_regular_matrix(x) == reference_regular_matrix(a, x, "left")
-                assert a.right_regular_matrix(x) == reference_regular_matrix(a, x, "right")
+                assert a.multiply(x, y) == reference_multiply(s, x, y), name
+                assert a.left_regular_matrix(x) == reference_regular_matrix(s, x, "left")
+                assert a.right_regular_matrix(x) == reference_regular_matrix(s, x, "right")
             ints = [rng.randint(-2, 2) for _ in range(a.dim)]
             strings = [f"{rng.randint(-3, 3)}/{rng.randint(1, 3)}" for _ in range(a.dim)]
-            assert a.multiply(ints, strings) == reference_multiply(a, ints, strings)
-            assert a.left_regular_matrix(strings) == reference_regular_matrix(a, strings, "left")
-            assert a.right_regular_matrix(ints) == reference_regular_matrix(a, ints, "right")
+            assert a.multiply(ints, strings) == reference_multiply(s, ints, strings)
+            assert a.left_regular_matrix(strings) == reference_regular_matrix(s, strings, "left")
+            assert a.right_regular_matrix(ints) == reference_regular_matrix(s, ints, "right")
+
+    def test_center_and_basis_traces_agree_on_fixtures(self):
+        for name, s, unit in dense_tables():
+            a = FDAlgebra(s, unit)
+            assert a.center() == reference_center(s), name
+            assert _basis_traces(a) == reference_traces(s), name
+
+    def test_structure_hash_and_json_round_trip(self):
+        for name, s, unit in dense_tables():
+            a = FDAlgebra(s, unit)
+            assert a.structure == tuple(tuple(tuple(v) for v in row) for row in s), name
+            assert a.unit == tuple(unit)
+            b = FDAlgebra(a.structure, a.unit)
+            assert b == a and hash(b) == hash(a), name
+            c = FDAlgebra.from_json_dict(json.loads(json.dumps(a.to_json_dict())))
+            assert c == a and hash(c) == hash(a), name
+            assert c.to_json_dict() == a.to_json_dict()
 
     def test_floats_still_rejected(self):
         a = matrix_algebra(2)
@@ -600,6 +667,26 @@ class TestJson:
         obj = rationals().to_json_dict()
         obj["structure"] = ["1"]
         with pytest.raises(ValueError, match="dim x dim array"):
+            FDAlgebra.from_json_dict(obj)
+
+    def test_late_malformed_entry_among_repeated_strings_rejected(self):
+        # M_3's 729 constants are nearly all "0"; each distinct string is
+        # parsed once, and a bad entry near the end is still found.
+        for bad, message in [
+            ("1/0", "^not a rational: '1/0'$"),
+            ("0.0", r"^not a rational: '0\.0'$"),
+            (0, "^expected a rational string, got int$"),
+            (["0"], "^expected a rational string, got list$"),
+            (None, "^expected a rational string, got NoneType$"),
+        ]:
+            obj = matrix_algebra(3).to_json_dict()
+            obj["structure"][8][8][7] = bad
+            obj["structure"][8][8][8] = "x"
+            with pytest.raises(ValueError, match=message):
+                FDAlgebra.from_json_dict(obj)
+        obj = matrix_algebra(3).to_json_dict()
+        obj["unit"][8] = "1/0"
+        with pytest.raises(ValueError, match="^not a rational: '1/0'$"):
             FDAlgebra.from_json_dict(obj)
 
     def test_bool_dim_rejected(self):

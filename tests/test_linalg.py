@@ -367,6 +367,28 @@ class TestMatBasics:
         a = Mat([[1, 2], [3, 4]])
         assert a.apply((1, 1)) == (Fraction(3), Fraction(7))
 
+    def test_apply_matches_dense_product(self):
+        rng = random.Random(13)
+
+        def dense_apply(m, v):
+            return tuple(sum((a * x for a, x in zip(r, v)), Fraction(0)) for r in m.data)
+
+        def entry(density):
+            if rng.random() >= density:
+                return Fraction(0)
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+        for rows, cols in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 6), (6, 4), (5, 5)]:
+            for density in (0.0, 0.3, 1.0):
+                m = Mat([[entry(density) for _ in range(cols)] for _ in range(rows)]) if rows else Mat.zeros(0, cols)
+                for v_density in (0.0, 0.3, 1.0):
+                    v = [entry(v_density) for _ in range(cols)]
+                    got = m.apply(v)
+                    assert got == dense_apply(m, v)
+                    assert len(got) == rows and all(type(c) is Fraction for c in got)
+                with pytest.raises(ValueError):
+                    m.apply([0] * (cols + 1))
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             Mat([[1, 2], [3]])
