@@ -4,9 +4,11 @@ An algebra is given by structure constants: ``structure[i][j]`` is the
 coordinate vector of the basis product e_i * e_j. It stores them once, as the
 nonzero integer numerators over one common denominator, and computes products,
 associativity checks, regular matrices, the center and the trace form in
-Python ints; ``structure`` is derived from that table on demand. Elements are
-plain tuples of Fractions relative to the algebra's basis; there is no element
-wrapper class.
+Python ints; ``structure`` is derived from that table on demand. One method,
+FDAlgebra._fill, writes the table: the public constructor hands it the nonzero
+entries of a dense table, the built-in constructors only their nonzero
+products. Elements are plain tuples of Fractions relative to the algebra's
+basis; there is no element wrapper class.
 All derived objects (center, quotients, subalgebras) use reduced row echelon
 bases so equal inputs always produce identical outputs.
 """
@@ -128,10 +130,11 @@ class FDAlgebra:
     The constants are stored once, as integer numerators over one common
     denominator: ``_terms[i][j]`` holds the pairs (k, n) with n a nonzero int
     and n / _den the e_k coordinate of e_i * e_j, and ``_den`` is the lcm of
-    the reduced denominators of all constants. Products, validate, the
-    regular matrices, the center and the trace form work on these ints, and
-    zero constants cost them nothing. ``structure``, the dense tuples of
-    Fractions, is rebuilt from the table on each access.
+    the reduced denominators of all constants; ``_fill`` is the one writer
+    of this table. Products, validate, the regular matrices, the center and
+    the trace form work on these ints, and zero constants cost them nothing.
+    ``structure``, the dense tuples of Fractions, is rebuilt from the table
+    on each access.
     """
 
     __slots__ = ("dim", "unit", "_den", "_terms", "_hash", "_memo")
@@ -140,25 +143,38 @@ class FDAlgebra:
         dim = len(structure)
         if dim < 1:
             raise ValueError("algebra dimension must be at least 1")
-        nonzero = []
+        products = []
         for i, row in enumerate(structure):
             if len(row) != dim:
                 raise ValueError(f"structure row {i} has length {len(row)}, expected {dim}")
-            nonzero.append([[(k, c) for k, c in enumerate(as_vector(v, dim)) if c] for v in row])
-        den = lcm(*{c.denominator for row in nonzero for v in row for _, c in v})
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "unit", as_vector(unit, dim))
+            products.append([[(k, c) for k, c in enumerate(as_vector(v, dim)) if c] for v in row])
+        self._fill(unit, products)
+
+    def _fill(self, unit: Sequence, products) -> "FDAlgebra":
+        """Set the fields from products[i][j], the nonzero pairs (k, c) of
+        e_i * e_j with k ascending and c an int or Fraction. This is the one
+        place that writes _den and _terms."""
+        den = lcm(*{c.denominator for row in products for v in row for _, c in v})
+        object.__setattr__(self, "dim", len(products))
+        object.__setattr__(self, "unit", as_vector(unit, len(products)))
         object.__setattr__(self, "_den", den)
         object.__setattr__(
             self,
             "_terms",
             tuple(
                 tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in row)
-                for row in nonzero
+                for row in products
             ),
         )
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_memo", {})
+        return self
+
+    @staticmethod
+    def _from_products(unit: Sequence, products) -> "FDAlgebra":
+        """The algebra of products as _fill takes them, for a caller that
+        already lists only nonzero constants in ascending k."""
+        return FDAlgebra.__new__(FDAlgebra)._fill(unit, products)
 
     def __setattr__(self, name, value):
         raise AttributeError("FDAlgebra is immutable")
@@ -496,14 +512,8 @@ def group_algebra(table: Sequence[Sequence[int]]) -> FDAlgebra:
                     raise MalformedTableError(
                         f"composition is not associative at ({i}, {j}, {k})"
                     )
-    zero = Fraction(0)
-    one = Fraction(1)
-    structure = [
-        [tuple(one if k == rows[i][j] else zero for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    unit = tuple(one if k == identity else zero for k in range(n))
-    return FDAlgebra(structure, unit)
+    products = [[[(rows[i][j], 1)] for j in range(n)] for i in range(n)]
+    return FDAlgebra._from_products([int(k == identity) for k in range(n)], products)
 
 
 def matrix_algebra(n: int) -> FDAlgebra:
@@ -517,43 +527,21 @@ def matrix_over(base: FDAlgebra | None, n: int) -> FDAlgebra:
     base is None). Basis: E_pq tensor b_t, ordered by (p, q, t)."""
     if n < 1:
         raise ValueError("matrix size must be at least 1")
-    bdim = 1 if base is None else base.dim
-    base_structure = None if base is None else base.structure
-    dim = n * n * bdim
-    zero = Fraction(0)
-
-    def idx(p: int, q: int, t: int) -> int:
-        return (p * n + q) * bdim + t
-
-    structure = [[None] * dim for _ in range(dim)]
-    for p in range(n):
-        for q in range(n):
-            for t in range(bdim):
-                i = idx(p, q, t)
-                for r in range(n):
-                    for s_col in range(n):
-                        for u in range(bdim):
-                            j = idx(r, s_col, u)
-                            vec = [zero] * dim
-                            if q == r:
-                                coeffs = (
-                                    (Fraction(1),)
-                                    if base is None
-                                    else base_structure[t][u]
-                                )
-                                for w, c in enumerate(coeffs):
-                                    if c != 0:
-                                        vec[idx(p, s_col, w)] = c
-                            structure[i][j] = tuple(vec)
-    unit = [zero] * dim
     if base is None:
-        for p in range(n):
-            unit[idx(p, p, 0)] = Fraction(1)
+        bdim, bunit, bproducts = 1, (1,), [[[(0, 1)]]]
     else:
-        for p in range(n):
-            for t, c in enumerate(base.unit):
-                unit[idx(p, p, t)] = c
-    return FDAlgebra(structure, unit)
+        bdim, bunit = base.dim, base.unit
+        bproducts = [[[(w, Fraction(c, base._den)) for w, c in v] for v in row] for row in base._terms]
+    cells = [(p, q, t) for p in range(n) for q in range(n) for t in range(bdim)]
+    # (E_pq b_t)(E_rs b_u) is E_ps (b_t b_u) when q == r, and zero otherwise.
+    products = [
+        [
+            [((p * n + s) * bdim + w, c) for w, c in bproducts[t][u]] if q == r else []
+            for (r, s, u) in cells
+        ]
+        for (p, q, t) in cells
+    ]
+    return FDAlgebra._from_products([bunit[t] if p == q else 0 for (p, q, t) in cells], products)
 
 
 def upper_triangular(n: int) -> FDAlgebra:
@@ -563,31 +551,13 @@ def upper_triangular(n: int) -> FDAlgebra:
         raise ValueError("matrix size must be at least 1")
     pairs = [(p, q) for p in range(n) for q in range(p, n)]
     index = {pq: i for i, pq in enumerate(pairs)}
-    dim = len(pairs)
-    zero = Fraction(0)
-    structure = []
-    for (p, q) in pairs:
-        row = []
-        for (r, s) in pairs:
-            vec = [zero] * dim
-            if q == r:
-                vec[index[(p, s)]] = Fraction(1)
-            row.append(tuple(vec))
-        structure.append(row)
-    unit = [zero] * dim
-    for p in range(n):
-        unit[index[(p, p)]] = Fraction(1)
-    return FDAlgebra(structure, unit)
+    products = [[[(index[(p, s)], 1)] if q == r else [] for (r, s) in pairs] for (p, q) in pairs]
+    return FDAlgebra._from_products([int(p == q) for (p, q) in pairs], products)
 
 
 def dual_numbers() -> FDAlgebra:
     """Q[t]/(t^2): basis (1, t)."""
-    zero, one = Fraction(0), Fraction(1)
-    structure = [
-        [(one, zero), (zero, one)],
-        [(zero, one), (zero, zero)],
-    ]
-    return FDAlgebra(structure, (one, zero))
+    return FDAlgebra._from_products((1, 0), [[[(0, 1)], [(1, 1)]], [[(1, 1)], []]])
 
 
 def quaternions(a, b) -> FDAlgebra:
@@ -596,18 +566,13 @@ def quaternions(a, b) -> FDAlgebra:
     b = rat(b)
     if a == 0 or b == 0:
         raise ValueError("quaternion parameters must be nonzero")
-    zero, one = Fraction(0), Fraction(1)
-
-    def v(c0=zero, c1=zero, c2=zero, c3=zero):
-        return (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
-
-    structure = [
-        [v(one), v(0, 1), v(0, 0, 1), v(0, 0, 0, 1)],
-        [v(0, 1), v(a), v(0, 0, 0, 1), v(0, 0, a)],
-        [v(0, 0, 1), v(0, 0, 0, -1), v(b), v(0, -b)],
-        [v(0, 0, 0, 1), v(0, 0, -a), v(0, b), v(-a * b)],
+    products = [
+        [[(0, 1)], [(1, 1)], [(2, 1)], [(3, 1)]],
+        [[(1, 1)], [(0, a)], [(3, 1)], [(2, a)]],
+        [[(2, 1)], [(3, -1)], [(0, b)], [(1, -b)]],
+        [[(3, 1)], [(2, -a)], [(1, b)], [(0, -a * b)]],
     ]
-    return FDAlgebra(structure, v(one))
+    return FDAlgebra._from_products((1, 0, 0, 0), products)
 
 
 def direct_product(algebras: Sequence[FDAlgebra]) -> FDAlgebra:
@@ -615,22 +580,12 @@ def direct_product(algebras: Sequence[FDAlgebra]) -> FDAlgebra:
     if not algebras:
         raise ValueError("direct product needs at least one algebra")
     dim = sum(a.dim for a in algebras)
-    offsets = []
-    off = 0
+    products: list[list] = []
+    unit: list[Fraction] = []
     for a in algebras:
-        offsets.append(off)
-        off += a.dim
-    zero = Fraction(0)
-    structure = [[tuple([zero] * dim) for _ in range(dim)] for _ in range(dim)]
-    unit = [zero] * dim
-    for a, off in zip(algebras, offsets):
-        table = a.structure
-        for i in range(a.dim):
-            for j in range(a.dim):
-                vec = [zero] * dim
-                for k, c in enumerate(table[i][j]):
-                    vec[off + k] = c
-                structure[off + i][off + j] = tuple(vec)
-        for k, c in enumerate(a.unit):
-            unit[off + k] = c
-    return FDAlgebra(structure, unit)
+        off = len(unit)
+        for row in a._terms:
+            shifted = [[(off + k, Fraction(c, a._den)) for k, c in v] for v in row]
+            products.append([[]] * off + shifted + [[]] * (dim - off - a.dim))
+        unit += a.unit
+    return FDAlgebra._from_products(unit, products)

@@ -164,11 +164,7 @@ def vec_json(v: Sequence[Fraction]) -> list[str]:
 
 
 def cmd_validate(args) -> tuple[dict, list[str]]:
-    a = load_algebra(args.file)
-    try:
-        a.validate()
-    except ValidationError as exc:
-        raise math_error(f"{args.file}: {exc}") from exc
+    a = validated_algebra(args.file)
     payload = {"dim": a.dim, "valid": True, "commutative": a.is_commutative()}
     lines = [
         f"dim: {a.dim}",
@@ -318,6 +314,10 @@ def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
             if pos >= len(w.factors):
                 raise input_error(
                     f"--assert-index names factor {pos} but there are only {len(w.factors)} factors"
+                )
+            if asserted[pos] not in (None, idx):
+                raise input_error(
+                    f"--assert-index gives factor {pos} two indices, {asserted[pos]} and {idx}"
                 )
             asserted[pos] = idx
     try:

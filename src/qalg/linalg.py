@@ -189,9 +189,6 @@ class Mat:
             raise ValueError("column count mismatch")
         return Mat(self.data + other.data)
 
-    def tolists(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.data]
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_to_str(a) for a in r) for r in self.data)
         return f"Mat[{body}]"

@@ -4,9 +4,12 @@ multiplication, centers, quotients, and the JSON wire format."""
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+import qalg.algebra
+import qalg.corpus
 from qalg.algebra import (
     FDAlgebra,
     QuotientPresentation,
@@ -173,6 +176,145 @@ def perturbed_copies(s, unit, rng, constants=6, units=2):
         yield s, moved
 
 
+# The dense loops the built-in constructors ran before they listed only their
+# nonzero products: each fills a dim^3 table of Fractions, zeros included, for
+# the public constructor. They are the oracles for the constructors.
+
+
+def dense_group_algebra(table):
+    n = len(table)
+    identity = next(e for e in range(n) if all(table[e][j] == j == table[j][e] for j in range(n)))
+    zero, one = Fraction(0), Fraction(1)
+    structure = [
+        [tuple(one if k == table[i][j] else zero for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    return FDAlgebra(structure, tuple(one if k == identity else zero for k in range(n)))
+
+
+def dense_matrix_over(base, n):
+    bdim = 1 if base is None else base.dim
+    base_structure = None if base is None else base.structure
+    dim = n * n * bdim
+    zero = Fraction(0)
+
+    def idx(p, q, t):
+        return (p * n + q) * bdim + t
+
+    structure = [[None] * dim for _ in range(dim)]
+    for p in range(n):
+        for q in range(n):
+            for t in range(bdim):
+                for r in range(n):
+                    for s_col in range(n):
+                        for u in range(bdim):
+                            vec = [zero] * dim
+                            if q == r:
+                                coeffs = (Fraction(1),) if base is None else base_structure[t][u]
+                                for w, c in enumerate(coeffs):
+                                    if c != 0:
+                                        vec[idx(p, s_col, w)] = c
+                            structure[idx(p, q, t)][idx(r, s_col, u)] = tuple(vec)
+    unit = [zero] * dim
+    for p in range(n):
+        for t, c in enumerate((Fraction(1),) if base is None else base.unit):
+            unit[idx(p, p, t)] = c
+    return FDAlgebra(structure, unit)
+
+
+def dense_upper_triangular(n):
+    pairs = [(p, q) for p in range(n) for q in range(p, n)]
+    index = {pq: i for i, pq in enumerate(pairs)}
+    zero = Fraction(0)
+    structure = []
+    for (p, q) in pairs:
+        row = []
+        for (r, s) in pairs:
+            vec = [zero] * len(pairs)
+            if q == r:
+                vec[index[(p, s)]] = Fraction(1)
+            row.append(tuple(vec))
+        structure.append(row)
+    return FDAlgebra(structure, [Fraction(int(p == q)) for (p, q) in pairs])
+
+
+def dense_dual_numbers():
+    zero, one = Fraction(0), Fraction(1)
+    return FDAlgebra([[(one, zero), (zero, one)], [(zero, one), (zero, zero)]], (one, zero))
+
+
+def dense_quaternions(a, b):
+    a, b = Fraction(a), Fraction(b)
+
+    def v(c0=0, c1=0, c2=0, c3=0):
+        return (Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3))
+
+    structure = [
+        [v(1), v(0, 1), v(0, 0, 1), v(0, 0, 0, 1)],
+        [v(0, 1), v(a), v(0, 0, 0, 1), v(0, 0, a)],
+        [v(0, 0, 1), v(0, 0, 0, -1), v(b), v(0, -b)],
+        [v(0, 0, 0, 1), v(0, 0, -a), v(0, b), v(-a * b)],
+    ]
+    return FDAlgebra(structure, v(1))
+
+
+def dense_direct_product(algebras):
+    dim = sum(a.dim for a in algebras)
+    zero = Fraction(0)
+    structure = [[tuple([zero] * dim) for _ in range(dim)] for _ in range(dim)]
+    unit = [zero] * dim
+    off = 0
+    for a in algebras:
+        table = a.structure
+        for i in range(a.dim):
+            for j in range(a.dim):
+                vec = [zero] * dim
+                for k, c in enumerate(table[i][j]):
+                    vec[off + k] = c
+                structure[off + i][off + j] = tuple(vec)
+        for k, c in enumerate(a.unit):
+            unit[off + k] = c
+        off += a.dim
+    return FDAlgebra(structure, unit)
+
+
+DENSE = SimpleNamespace(
+    group_algebra=dense_group_algebra,
+    matrix_algebra=lambda n: dense_matrix_over(None, n),
+    matrix_over=dense_matrix_over,
+    upper_triangular=dense_upper_triangular,
+    dual_numbers=dense_dual_numbers,
+    quaternions=dense_quaternions,
+    direct_product=dense_direct_product,
+)
+
+# Constructor calls beyond the fixtures, each written against a namespace c
+# of constructors: qalg.algebra itself or DENSE.
+QUATERNION_PARAMS = (Fraction(1, 2), Fraction(-3, 5))
+CONSTRUCTOR_CALLS = {
+    **{f"M{n}": lambda c, n=n: c.matrix_algebra(n) for n in range(1, 6)},
+    **{f"UT{n}": lambda c, n=n: c.upper_triangular(n) for n in range(1, 7)},
+    **{f"QC{n}": lambda c, n=n: c.group_algebra(cyclic_table(n)) for n in (6, 8, 12)},
+    "QS3xC2": lambda c: c.group_algebra(product_table(symmetric3_table(), cyclic_table(2))),
+    "M3(dual)": lambda c: c.matrix_over(c.dual_numbers(), 3),
+    "M2(UT2)": lambda c: c.matrix_over(c.upper_triangular(2), 2),
+    "M2(H)": lambda c: c.matrix_over(c.quaternions(*QUATERNION_PARAMS), 2),
+    "H x H' x dual x M2": lambda c: c.direct_product(
+        [c.quaternions(*QUATERNION_PARAMS), c.quaternions(3, Fraction(1, 7)), c.dual_numbers(), c.matrix_algebra(2)]
+    ),
+}
+
+
+def assert_same_algebra(a, ref, name):
+    """a and ref agree byte for byte, and a's table lists no zero or unsorted
+    pair: the public constructor, which drops zeros and sorts, rebuilds it."""
+    assert a == ref and hash(a) == hash(ref), name
+    assert repr((a._den, a._terms, a.unit)) == repr((ref._den, ref._terms, ref.unit)), name
+    assert a.to_json_dict() == ref.to_json_dict(), name
+    assert FDAlgebra(a.structure, a.unit) == a, name
+    a.validate()
+
+
 class TestSubspace:
     def test_canonical_basis_is_spanning_set_independent(self):
         s1 = Subspace(3, [[1, 1, 0], [0, 0, 1]])
@@ -320,6 +462,23 @@ class TestAgainstDenseReferences:
         ):
             with pytest.raises(TypeError):
                 call()
+
+
+class TestConstructorsAgainstDenseLoops:
+    """The built-in constructors, which hand over only nonzero products,
+    against the dense loops they replaced, on 36 algebras."""
+
+    def test_constructor_calls(self):
+        assert len(CONSTRUCTOR_CALLS) + len(fixtures()) == 36
+        for name, build in CONSTRUCTOR_CALLS.items():
+            assert_same_algebra(build(qalg.algebra), build(DENSE), name)
+
+    def test_fixtures(self, monkeypatch):
+        built = [spec.build() for spec in fixtures()]
+        for name, ctor in vars(DENSE).items():
+            monkeypatch.setattr(qalg.corpus, name, ctor)
+        for spec, a in zip(fixtures(), built):
+            assert_same_algebra(a, spec.build(), spec.name)
 
 
 class TestMultiplication:

@@ -408,6 +408,16 @@ class TestEdAlgebra:
         assert code == 2
         assert "FACTOR:INDEX" in err
 
+    def test_two_indices_for_one_factor_is_input_error(self, capsys, tmp_path):
+        path = write_algebra(capsys, tmp_path, "q.json", "quaternions", "--", "-1", "-1")
+        flags = ("--d", "2", "--assert-index", "0:1", "--assert-index", "0:2")
+        code, out, err = run(capsys, "ed", "algebra", path, *flags)
+        assert code == 2 and out == ""
+        assert "factor 0" in err
+        # An exact repeat is the same assertion, so it is accepted.
+        code, out, _ = run(capsys, "ed", "algebra", path, "--d", "2", "--assert-index", "0:2", "--assert-index", "0:2")
+        assert code == 0 and out.startswith("value: 1\n")
+
     def test_assertion_for_missing_factor(self, capsys, tmp_path):
         path = write_algebra(capsys, tmp_path, "m2.json", "matrix", "2")
         code, _, err = run(capsys, "ed", "algebra", path, "--d", "2", "--assert-index", "9:2")
