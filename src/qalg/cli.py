@@ -243,10 +243,6 @@ def cmd_lift_idem(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _report_payload(report) -> dict:
-    return report.to_json_dict()
-
-
 def _report_lines(report) -> list[str]:
     value = "-infinity" if report.value is None else rat_to_str(report.value)
     lines = [f"value: {value}", f"kind: {report.kind}", f"formula: {report.formula}"]
@@ -261,7 +257,7 @@ def cmd_ed_csa(args) -> tuple[dict, list[str]]:
         report = bound_csa(args.deg, r)
     except ValueError as exc:
         raise input_error(str(exc)) from exc
-    return _report_payload(report), _report_lines(report)
+    return report.to_json_dict(), _report_lines(report)
 
 
 def cmd_ed_division(args) -> tuple[dict, list[str]]:
@@ -271,7 +267,7 @@ def cmd_ed_division(args) -> tuple[dict, list[str]]:
         raise math_error(str(exc)) from exc
     except ValueError as exc:
         raise input_error(str(exc)) from exc
-    return _report_payload(report), _report_lines(report)
+    return report.to_json_dict(), _report_lines(report)
 
 
 def cmd_ed_karpenko(args) -> tuple[dict, list[str]]:
@@ -279,7 +275,7 @@ def cmd_ed_karpenko(args) -> tuple[dict, list[str]]:
         report = karpenko_value(args.p, args.n, args.m)
     except ValueError as exc:
         raise input_error(str(exc)) from exc
-    return _report_payload(report), _report_lines(report)
+    return report.to_json_dict(), _report_lines(report)
 
 
 def cmd_ed_ckm(args) -> tuple[dict, list[str]]:
@@ -287,7 +283,7 @@ def cmd_ed_ckm(args) -> tuple[dict, list[str]]:
         report = ckm_value(args.deg)
     except ValueError as exc:
         raise input_error(str(exc)) from exc
-    return _report_payload(report), _report_lines(report)
+    return report.to_json_dict(), _report_lines(report)
 
 
 _ASSERT_INDEX_RE = re.compile(r"^(\d+):(\d+)$")
@@ -324,7 +320,7 @@ def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
         report = bound_from_wedderburn(w, args.d, asserted_indices=asserted, r=r)
     except (QalgError, ValueError) as exc:
         raise math_error(str(exc)) from exc
-    return _report_payload(report), _report_lines(report)
+    return report.to_json_dict(), _report_lines(report)
 
 
 def cmd_ed_bundle(args) -> tuple[dict, list[str]]:
@@ -332,7 +328,7 @@ def cmd_ed_bundle(args) -> tuple[dict, list[str]]:
         report = bundle_moduli_ed(args.genus, args.rank, args.degree, assume_ckm=args.assume_ckm)
     except ValueError as exc:
         raise input_error(str(exc)) from exc
-    return _report_payload(report), _report_lines(report)
+    return report.to_json_dict(), _report_lines(report)
 
 
 def cmd_ed_nil_dim(args) -> tuple[dict, list[str]]:
@@ -420,42 +416,30 @@ def _group_table_by_name(name: str) -> list[list[int]]:
 def cmd_gen(args) -> tuple[dict, list[str]]:
     kind = args.kind
     if kind == "matrix":
-        if args.size is None:
-            raise input_error("gen matrix needs a size argument")
         if args.size < 1:
             raise input_error("matrix size must be a positive integer")
         a = matrix_algebra(args.size)
     elif kind == "upper-triangular":
-        if args.size is None:
-            raise input_error("gen upper-triangular needs a size argument")
         if args.size < 1:
             raise input_error("matrix size must be a positive integer")
         a = upper_triangular(args.size)
     elif kind == "dual-numbers":
         a = dual_numbers()
     elif kind == "quaternions":
-        if args.a is None or args.b is None:
-            raise input_error("gen quaternions needs two parameters")
         pa = parse_rational_flag(args.a, "first quaternion parameter")
         pb = parse_rational_flag(args.b, "second quaternion parameter")
         if pa == 0 or pb == 0:
             raise input_error("quaternion parameters must be nonzero")
         a = quaternions(pa, pb)
     elif kind == "group":
-        if args.name is None:
-            raise input_error("gen group needs a group name")
         a = group_algebra(_group_table_by_name(args.name))
     elif kind == "fixture":
-        if args.name is None:
-            raise input_error("gen fixture needs a fixture name")
         try:
             spec = fixture_by_name(args.name)
         except KeyError:
             names = ", ".join(s.name for s in fixtures())
             raise input_error(f"unknown fixture {args.name!r}; available: {names}") from None
         a = spec.build()
-    else:  # pragma: no cover - argparse restricts choices
-        raise input_error(f"unknown generator {kind!r}")
     payload = a.to_json_dict()
     # The bare output is itself the algebra JSON so it can be piped to a file
     # and fed back into the file-based commands.
@@ -560,31 +544,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ed_partitions)
 
     p = sub.add_parser("gen", help="emit a built-in algebra as JSON")
+    p.set_defaults(func=cmd_gen)
     gensub = p.add_subparsers(dest="kind", required=True)
 
     g = gensub.add_parser("matrix", parents=[common])
     g.add_argument("size", type=int)
-    g.set_defaults(func=cmd_gen, a=None, b=None, name=None)
 
     g = gensub.add_parser("upper-triangular", parents=[common])
     g.add_argument("size", type=int)
-    g.set_defaults(func=cmd_gen, a=None, b=None, name=None)
 
-    g = gensub.add_parser("dual-numbers", parents=[common])
-    g.set_defaults(func=cmd_gen, size=None, a=None, b=None, name=None)
+    gensub.add_parser("dual-numbers", parents=[common])
 
     g = gensub.add_parser("quaternions", parents=[common])
     g.add_argument("a", help="square of the first generator, for example -1")
     g.add_argument("b", help="square of the second generator")
-    g.set_defaults(func=cmd_gen, size=None, name=None)
 
     g = gensub.add_parser("group", parents=[common])
     g.add_argument("name", help="cN, cNxcM, or s3")
-    g.set_defaults(func=cmd_gen, size=None, a=None, b=None)
 
     g = gensub.add_parser("fixture", parents=[common])
     g.add_argument("name", help="name of a built-in fixture algebra")
-    g.set_defaults(func=cmd_gen, size=None, a=None, b=None)
 
     return parser
 

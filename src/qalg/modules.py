@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import FDAlgebra, QuotientPresentation, Vec, subalgebra_on
+from .algebra import FDAlgebra, QuotientPresentation, Subspace, Vec, subalgebra_on
 from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, UnknownIndexError
 from .linalg import rat_to_str, rat_vector_from_json
 from .structure import (
     WedderburnReport,
     _basis_traces,
-    _corner_subspace,
     _ideal_nilpotency_index,
     jacobson_radical,
     wedderburn_decomposition,
@@ -272,4 +271,5 @@ def peirce_corner(a: FDAlgebra, p: Sequence) -> FDAlgebra:
     p = a.element(p)
     if not a.is_idempotent(p):
         raise NotIdempotentError("corner element is not idempotent")
-    return subalgebra_on(a, _corner_subspace(a, p), p)
+    corner = [a.multiply(p, a.multiply(a.basis_element(i), p)) for i in range(a.dim)]
+    return subalgebra_on(a, Subspace(a.dim, corner), p)

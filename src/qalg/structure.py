@@ -6,10 +6,17 @@ factors by the minimal polynomial of one primitive element of its center. That
 element is the first z_t = sum_i C(t, i) * b_i over the center's echelon basis
 with a minimal polynomial of degree m = dim center, and t <= (m-1) * m(m-1)/2
 is proven to suffice. The factors come in the order of that polynomial's
-irreducible factors from factor_rational: by degree, then coefficients. The
-matrix size search walks a deterministic candidate list, so repeated runs
-produce identical reports. A minimal polynomial is the first linear dependence
-among the powers of the element itself; no multiplication matrix is built.
+irreducible factors from factor_rational: by degree, then coefficients.
+
+The matrix size search certifies only split factors, n = degree over the
+center. It stays inside the quotient's coordinates: starting from a factor
+and its central idempotent, each pass splits the current Peirce corner with
+an idempotent found among deterministic candidates and keeps the smaller
+piece, so it certifies within floor(log2 degree) splits, or reports unknown
+(None) when a corner does not split. No factor or corner algebra is built,
+and repeated runs produce identical reports. A minimal polynomial is the
+first linear dependence among the powers of the element itself; no
+multiplication matrix is built.
 
 A semisimple algebra's zero radical has the algebra itself as its quotient,
 not a copy. Radical, Wedderburn and central idempotent results, and the
@@ -32,7 +39,6 @@ from .algebra import (
     Vec,
     _memoized,
     quotient_by_ideal,
-    subalgebra_on,
 )
 from .errors import InternalError, NotNilpotentError, NotSemisimpleError, NotSimpleError
 from .linalg import Mat, kernel_basis, minimal_polynomial
@@ -57,7 +63,9 @@ class SimpleFactorData:
     central_idempotent lives in the semisimple quotient's coordinates.
     degree_over_center is the integer with degree^2 * center_dim = factor_dim.
     matrix_size is the certified size n with factor = n x n matrices over a
-    division algebra, or None when the search could not certify one.
+    division algebra. Only split factors are certified, with n =
+    degree_over_center within floor(log2 degree) splits; otherwise it is None
+    (unknown), which does not certify a division algebra.
     """
 
     central_idempotent: Vec
@@ -217,28 +225,21 @@ def central_primitive_idempotents(s: FDAlgebra) -> tuple[Vec, ...]:
     raise InternalError("no primitive element of the center within the proven bound")
 
 
-def _corner_subspace(a: FDAlgebra, p: Vec) -> Subspace:
-    vectors = [
-        a.multiply(p, a.multiply(a.basis_element(i), p)) for i in range(a.dim)
-    ]
-    return Subspace(a.dim, vectors)
-
-
-def _find_nontrivial_idempotent(f: FDAlgebra) -> Vec | None:
-    """First nontrivial idempotent found by splitting minimal polynomials of
+def _find_nontrivial_idempotent(s: FDAlgebra, corner: Subspace, e: Vec) -> Vec | None:
+    """First idempotent other than 0 and e in the corner algebra on `corner`
+    (unit e, the product of s), found by splitting minimal polynomials of
     deterministic candidates, or None when every candidate's minimal
     polynomial is a power of a single irreducible."""
-    rows = [f.basis_element(i) for i in range(f.dim)]
-    for z in _splitting_candidates(rows):
-        minpoly = minimal_polynomial(z, f.multiply, f.unit)
+    for z in _splitting_candidates(corner.vectors()):
+        minpoly = minimal_polynomial(z, s.multiply, e)
         fac = factor_rational(minpoly)
         if len(fac.factors) < 2:
             continue
-        first_modulus = _poly_power(fac.factors[0][0], fac.factors[0][1])
-        e = _partial_fraction_idempotents(f, z, f.unit, minpoly, [first_modulus])[0]
-        if e == f.zero() or e == f.unit:
+        first_modulus = _poly_power(*fac.factors[0])
+        p = _partial_fraction_idempotents(s, z, e, minpoly, [first_modulus])[0]
+        if p == s.zero() or p == e:
             raise InternalError("split off a trivial idempotent")
-        return e
+        return p
     return None
 
 
@@ -249,28 +250,32 @@ def _poly_power(p: Poly, n: int) -> Poly:
     return out
 
 
-def _matrix_size_search(f: FDAlgebra) -> int | None:
-    """Certified matrix size of a simple algebra, or None (unknown).
+def _matrix_size_search(
+    s: FDAlgebra, factor_space: Subspace, e: Vec, center_dim: int, degree: int
+) -> int | None:
+    """Certified matrix size of the simple factor of s on factor_space (unit
+    e, center of dimension center_dim, degree over its center), or None.
 
-    A commutative simple algebra is a field, size 1. Otherwise split off an
-    idempotent and recurse on both diagonal corners; sizes add because all
-    primitive idempotents of a simple algebra are equivalent.
+    A corner pFp of rank k in the factor F = M_n(D) is M_k(D), so only n =
+    degree (D the center) can be certified, and one corner suffices: each
+    pass splits the current corner and keeps the corner of the piece whose
+    left multiplication on s has the smaller trace, so the rank at most
+    halves, and a split factor is certified within floor(log2 degree)
+    splits, when the corner has shrunk to the center's dimension. A corner
+    that does not split gives None.
     """
-    if f.is_commutative():
-        return 1
-    e = _find_nontrivial_idempotent(f)
-    if e is None:
-        return None
-    complement = tuple(u - x for u, x in zip(f.unit, e))
-    left = subalgebra_on(f, _corner_subspace(f, e), e)
-    right = subalgebra_on(f, _corner_subspace(f, complement), complement)
-    n_left = _matrix_size_search(left)
-    if n_left is None:
-        return None
-    n_right = _matrix_size_search(right)
-    if n_right is None:
-        return None
-    return n_left + n_right
+    traces = _trace_numerators(s)
+    corner = factor_space
+    while corner.dim > center_dim:
+        p = _find_nontrivial_idempotent(s, corner, e)
+        if p is None:
+            return None
+        q = tuple(u - x for u, x in zip(e, p))
+        e = min(p, q, key=lambda x: sum(t * c for t, c in zip(traces, x)))
+        corner = Subspace(s.dim, [s.multiply(e, s.multiply(v, e)) for v in corner.vectors()])
+    if corner.dim < center_dim:
+        raise InternalError("a corner is smaller than the factor's center")
+    return degree
 
 
 def try_matrix_size(factor: FDAlgebra) -> int | None:
@@ -278,14 +283,14 @@ def try_matrix_size(factor: FDAlgebra) -> int | None:
     division algebra, or None when no certificate was found.
 
     None is honest ignorance: it never certifies that the factor is a
-    division algebra, only that the deterministic search found no splitting
-    idempotent.
+    division algebra, only that the deterministic search found no chain of
+    splitting idempotents down to the center.
     """
     if jacobson_radical(factor).radical.dim != 0:
         raise NotSimpleError("algebra is not semisimple")
     if len(central_primitive_idempotents(factor)) != 1:
         raise NotSimpleError("algebra has more than one simple factor")
-    return _matrix_size_search(factor)
+    return wedderburn_decomposition(factor).factors[0].matrix_size
 
 
 @_memoized
@@ -300,8 +305,6 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
         factor_space = Subspace(
             s.dim, [s.multiply(e, s.basis_element(i)) for i in range(s.dim)]
         )
-        # A lone idempotent is the unit, and its factor is s itself.
-        factor_alg = s if len(idempotents) == 1 else subalgebra_on(s, factor_space, e)
         factor_dim = factor_space.dim
         center_dim = Subspace(
             s.dim, [s.multiply(e, z) for z in center.vectors()]
@@ -311,16 +314,13 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
             raise InternalError(
                 "factor dimension is not a square multiple of its center dimension"
             )
-        size = _matrix_size_search(factor_alg)
-        if size is not None and degree % size != 0:
-            raise InternalError("matrix size does not divide the degree")
         factors.append(
             SimpleFactorData(
                 central_idempotent=e,
                 factor_dim=factor_dim,
                 center_dim=center_dim,
                 degree_over_center=degree,
-                matrix_size=size,
+                matrix_size=_matrix_size_search(s, factor_space, e, center_dim, degree),
             )
         )
     total = sum(f.factor_dim for f in factors)

@@ -92,6 +92,22 @@ class TestGen:
         code, _, err = run(capsys, "gen", "matrix", "0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "args, missing",
+        [
+            (("matrix",), "size"),
+            (("upper-triangular",), "size"),
+            (("quaternions", "2"), "b"),
+            (("group",), "name"),
+            (("fixture",), "name"),
+        ],
+    )
+    def test_missing_positional_exits_2(self, capsys, args, missing):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *args])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_valid_file(self, capsys, tmp_path):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import qalg
+import qalg.algebra
 import qalg.structure
 
 from qalg.algebra import (
@@ -28,7 +29,7 @@ from qalg.algebra import (
     upper_triangular,
 )
 from qalg.corpus import cyclic_table, fixtures, nilpotency_oracle, symmetric3_table
-from qalg.errors import NotNilpotentError, NotSemisimpleError, NotSimpleError
+from qalg.errors import InternalError, NotNilpotentError, NotSemisimpleError, NotSimpleError
 from qalg.linalg import Mat, minimal_polynomial, poly_eval_matrix, rank
 from qalg.poly import Poly
 from qalg.structure import (
@@ -302,6 +303,133 @@ class TestMatrixSize:
             try_matrix_size(dual_numbers())
 
 
+def assert_golden_factor_shapes():
+    none_low = lambda t: tuple(-1 if v is None else v for v in t)  # noqa: E731
+    for f in fixtures():
+        w = wedderburn_decomposition(f.build())
+        shapes = [
+            (x.factor_dim, x.center_dim, x.degree_over_center, x.matrix_size)
+            for x in w.factors
+        ]
+        assert sorted(shapes, key=none_low) == sorted(
+            f.expected.factor_shapes, key=none_low
+        ), f.name
+
+
+# M_3(Q) on the basis f_i = sum_k P[k][i] e_k (e the matrix units): the
+# integer basis change with integer inverse that perfbench's Twister(1)
+# draws for "M3", label "1". Searching both corners of its first split
+# finds no certificate; one corner suffices.
+TWIST_P = (
+    (1, 2, 0, -1, 2, 1, -1, -2, -2),
+    (1, 3, -2, -1, 2, 1, -2, -4, -2),
+    (0, 1, -1, -1, 0, 0, 0, -4, 2),
+    (1, 2, 2, -2, 2, 2, -1, -6, 3),
+    (1, 2, 0, -2, 3, 0, 1, -1, -2),
+    (0, 0, 1, -1, -2, 1, 2, -3, 0),
+    (2, 6, -3, -5, 6, 1, 3, -5, -3),
+    (2, 6, -4, -4, 4, 0, 1, -5, -9),
+    (0, -2, 4, 1, 2, -1, -2, 3, 6),
+)
+TWIST_P_INV = (
+    (-302, 172, -144, 59, 82, 37, -15, 10, 10),
+    (220, -123, 104, -45, -62, -24, 12, -7, -5),
+    (118, -66, 56, -24, -32, -13, 6, -4, -3),
+    (316, -173, 151, -67, -82, -33, 16, -13, -8),
+    (87, -48, 42, -18, -21, -10, 4, -4, -3),
+    (-60, 33, -29, 13, 16, 6, -3, 2, 1),
+    (117, -64, 56, -25, -30, -12, 6, -5, -3),
+    (-66, 36, -32, 14, 16, 7, -3, 3, 2),
+    (-25, 14, -12, 5, 6, 3, -1, 1, 1),
+)
+
+
+def twisted_m3():
+    m = matrix_algebra(3)
+    n = m.dim
+    assert all(
+        sum(TWIST_P[i][k] * TWIST_P_INV[k][j] for k in range(n)) == (i == j)
+        for i in range(n)
+        for j in range(n)
+    )
+    f = [[TWIST_P[k][i] for k in range(n)] for i in range(n)]
+
+    def coords(v):
+        return [sum(r * x for r, x in zip(row, v)) for row in TWIST_P_INV]
+
+    structure = [[coords(m.multiply(f[i], f[j])) for j in range(n)] for i in range(n)]
+    a = FDAlgebra(structure, coords(m.unit))
+    a.validate()
+    return a
+
+
+def searched_algebras():
+    return [(f.name, f.build) for f in fixtures()] + [("twisted-M3", twisted_m3)]
+
+
+def splits_per_factor(monkeypatch):
+    """Patch the search so that each factor's successful splits are counted
+    in a list of its own, in factor order."""
+    counts = []
+    search = qalg.structure._matrix_size_search
+    find = qalg.structure._find_nontrivial_idempotent
+
+    def counting_search(*args):
+        counts.append(0)
+        return search(*args)
+
+    def counting_find(*args):
+        p = find(*args)
+        if p is not None:
+            counts[-1] += 1
+        return p
+
+    monkeypatch.setattr(qalg.structure, "_matrix_size_search", counting_search)
+    monkeypatch.setattr(qalg.structure, "_find_nontrivial_idempotent", counting_find)
+    return counts
+
+
+class TestCornerDescent:
+    def test_no_factor_or_corner_algebra_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the decomposition built a subalgebra")
+
+        monkeypatch.setattr(qalg.structure, "subalgebra_on", refuse, raising=False)
+        monkeypatch.setattr(qalg.algebra, "subalgebra_on", refuse)
+        assert_golden_factor_shapes()
+
+    def test_m5_is_certified_by_one_split(self, monkeypatch):
+        counts = splits_per_factor(monkeypatch)
+        w = wedderburn_decomposition(matrix_algebra(5))
+        assert [f.matrix_size for f in w.factors] == [5]
+        assert counts == [1]
+
+    def test_twisted_m3_is_certified(self):
+        a = twisted_m3()
+        w = wedderburn_decomposition(a)
+        f = w.factors[0]
+        assert (f.factor_dim, f.center_dim, f.degree_over_center, f.matrix_size) == (9, 1, 3, 3)
+        assert try_matrix_size(twisted_m3()) == 3
+
+    @pytest.mark.parametrize("build", [pytest.param(b, id=n) for n, b in searched_algebras()])
+    def test_size_is_degree_within_log_splits(self, monkeypatch, build):
+        counts = splits_per_factor(monkeypatch)
+        w = wedderburn_decomposition(build())
+        assert len(counts) == len(w.factors)
+        for f, splits in zip(w.factors, counts):
+            assert f.matrix_size in (None, f.degree_over_center)
+            assert splits <= f.degree_over_center.bit_length() - 1
+
+    def test_corner_below_the_center_is_an_internal_error(self):
+        # M_2 has a one-dimensional center; claiming two makes the search
+        # split past it, to a corner of dimension 1
+        s = matrix_algebra(2)
+        with pytest.raises(InternalError, match="smaller than the factor's center"):
+            qalg.structure._matrix_size_search(
+                s, Subspace(4, [s.basis_element(i) for i in range(4)]), s.unit, 2, 1
+            )
+
+
 class TestWedderburn:
     def test_symmetric_group(self):
         w = wedderburn_decomposition(group_algebra(symmetric3_table()))
@@ -334,16 +462,7 @@ class TestWedderburn:
                     assert x.degree_over_center % x.matrix_size == 0
 
     def test_golden_factor_shapes(self):
-        none_low = lambda t: tuple(-1 if v is None else v for v in t)  # noqa: E731
-        for f in fixtures():
-            w = wedderburn_decomposition(f.build())
-            shapes = [
-                (x.factor_dim, x.center_dim, x.degree_over_center, x.matrix_size)
-                for x in w.factors
-            ]
-            assert sorted(shapes, key=none_low) == sorted(
-                f.expected.factor_shapes, key=none_low
-            ), f.name
+        assert_golden_factor_shapes()
 
     def test_direct_product_concatenates_factors(self):
         a = group_algebra(cyclic_table(3))
