@@ -142,10 +142,7 @@ def parse_partition(text: str) -> Partition:
         parts = tuple(int(x.strip()) for x in text.split(","))
     except ValueError as exc:
         raise input_error(f"partition must be comma-separated integers: {text!r}") from exc
-    try:
-        return Partition(tuple(sorted(parts, reverse=True)))
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
+    return Partition(tuple(sorted(parts, reverse=True)))
 
 
 def parse_rational_flag(text: str, what: str) -> Fraction:
@@ -233,7 +230,7 @@ def cmd_lift_idem(args) -> tuple[dict, list[str]]:
     try:
         qp = quotient_by_ideal(a, ideal)
         lifted, steps = refine_to_idempotent(qp, element)
-    except (QalgError, ValueError) as exc:
+    except ValueError as exc:
         raise math_error(str(exc)) from exc
     payload = {"idempotent": vec_json(lifted), "iterations": steps}
     lines = [
@@ -243,47 +240,28 @@ def cmd_lift_idem(args) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _report_lines(report) -> list[str]:
+def _report(report) -> tuple[dict, list[str]]:
     value = "-infinity" if report.value is None else rat_to_str(report.value)
     lines = [f"value: {value}", f"kind: {report.kind}", f"formula: {report.formula}"]
     for note in report.assumptions:
         lines.append(f"assumption: {note}")
-    return lines
+    return report.to_json_dict(), lines
 
 
 def cmd_ed_csa(args) -> tuple[dict, list[str]]:
-    r = parse_rational_flag(args.rank, "--rank")
-    try:
-        report = bound_csa(args.deg, r)
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
-    return report.to_json_dict(), _report_lines(report)
+    return _report(bound_csa(args.deg, parse_rational_flag(args.rank, "--rank")))
 
 
 def cmd_ed_division(args) -> tuple[dict, list[str]]:
-    try:
-        report = bound_division(args.deg, args.d)
-    except QalgError as exc:
-        raise math_error(str(exc)) from exc
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
-    return report.to_json_dict(), _report_lines(report)
+    return _report(bound_division(args.deg, args.d))
 
 
 def cmd_ed_karpenko(args) -> tuple[dict, list[str]]:
-    try:
-        report = karpenko_value(args.p, args.n, args.m)
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
-    return report.to_json_dict(), _report_lines(report)
+    return _report(karpenko_value(args.p, args.n, args.m))
 
 
 def cmd_ed_ckm(args) -> tuple[dict, list[str]]:
-    try:
-        report = ckm_value(args.deg)
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
-    return report.to_json_dict(), _report_lines(report)
+    return _report(ckm_value(args.deg))
 
 
 _ASSERT_INDEX_RE = re.compile(r"^(\d+):(\d+)$")
@@ -318,26 +296,21 @@ def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
             asserted[pos] = idx
     try:
         report = bound_from_wedderburn(w, args.d, asserted_indices=asserted, r=r)
-    except (QalgError, ValueError) as exc:
+    except ValueError as exc:
         raise math_error(str(exc)) from exc
-    return report.to_json_dict(), _report_lines(report)
+    return _report(report)
 
 
 def cmd_ed_bundle(args) -> tuple[dict, list[str]]:
-    try:
-        report = bundle_moduli_ed(args.genus, args.rank, args.degree, assume_ckm=args.assume_ckm)
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
-    return report.to_json_dict(), _report_lines(report)
+    return _report(
+        bundle_moduli_ed(args.genus, args.rank, args.degree, assume_ckm=args.assume_ckm)
+    )
 
 
 def cmd_ed_nil_dim(args) -> tuple[dict, list[str]]:
     partition = parse_partition(args.partition)
-    try:
-        dim = nil_stack_dim(args.genus, partition)
-        trdeg = int(trdeg_bound_indecomposable(args.genus, partition).value)
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
+    dim = nil_stack_dim(args.genus, partition)
+    trdeg = int(trdeg_bound_indecomposable(args.genus, partition).value)
     payload = {
         "genus": args.genus,
         "partition": list(partition.parts),
@@ -368,10 +341,7 @@ def cmd_ed_partitions(args) -> tuple[dict, list[str]]:
             f"rank {args.rank} exceeds the partition enumeration cap {cap}"
             f" (raise {MAX_PARTITION_RANK_ENV} to override)"
         )
-    try:
-        check = partition_square_sum_check(args.rank)
-    except ValueError as exc:
-        raise input_error(str(exc)) from exc
+    check = partition_square_sum_check(args.rank)
     payload = {
         "rank": check.rank,
         "max_square_sum": check.max_square_sum,
@@ -568,12 +538,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> tuple[dict, list[str]]:
+    """The subcommand's payload and lines. A QalgError it lets through is a
+    failed mathematical precondition, a ValueError a bad input."""
+    try:
+        return args.func(args)
+    except QalgError as exc:
+        raise math_error(str(exc)) from exc
+    except ValueError as exc:
+        raise input_error(str(exc)) from exc
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     as_json = getattr(args, "json", False)
     try:
-        payload, lines = args.func(args)
+        payload, lines = _run(args)
     except CliError as exc:
         if as_json:
             sys.stdout.write(

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 from .errors import InternalError, NotDivisorError, RankNotRealizableError, UnknownIndexError
 from .linalg import rat, rat_to_str
-from .polyfactor import is_prime
+from .polyfactor import _least_factor, is_prime
 from .structure import WedderburnReport
 
 KINDS = ("exact", "upper", "strict_upper", "conjectural_exact", "minus_infinity")
@@ -90,15 +90,11 @@ def prime_factors(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be a positive integer")
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        p = _least_factor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
     return tuple(out)
 
 

@@ -2,10 +2,15 @@
 
 Lifting refines p to 3p^2 - 2p^3, which squares the error term p^2 - p inside
 the nilpotent ideal, so at most ceil(log2(nilpotency index)) passes are ever
-needed. Elements and k x k matrices over the algebra A go through the same
-refinement loop: a matrix is held as a flat vector in the (p, q, t) coordinate
-order of matrix_over(A, k) and multiplied block by block with A.multiply,
-without building that algebra's dim^3 structure tensor.
+needed. There is one refinement loop, over square matrices with entries in the
+algebra A held as nested rows of coordinate vectors; an element is refined as
+the 1 x 1 matrix ((p,),).
+
+Matrices are multiplied block by block with A.multiply, which builds no
+structure tensor for the matrix algebra. matrix_over(A, k).multiply is faster
+per product, but its tables cost time and memory up front: on a 2-core x86 VM,
+the 32 tables for the eight algebras of the modules-lift benchmark at sizes
+1-4 took 0.55 s to build and held 17 MB, about that workload's whole peak RSS.
 
 A projective right module is presented by an idempotent matrix P over
 the algebra; its image in each simple factor of the semisimple quotient has a
@@ -39,47 +44,49 @@ from .structure import (
 AMatEntries = tuple[tuple[Vec, ...], ...]
 
 
-def _flatten(entries: AMatEntries) -> Vec:
-    """Coordinates of a square matrix over an algebra, ordered like the
-    basis E_pq tensor b_t of matrix_over(algebra, size): by (p, q, t)."""
-    return tuple(c for row in entries for entry in row for c in entry)
-
-
-def _unflatten(x: Vec, size: int, dim: int) -> AMatEntries:
-    return tuple(
-        tuple(x[(p * size + q) * dim : (p * size + q + 1) * dim] for q in range(size))
-        for p in range(size)
-    )
-
-
-def _matrix_product(a: FDAlgebra, size: int, x: Vec, y: Vec) -> Vec:
-    """Product of two flat matrices over a, computed block by block with
-    a.multiply; equal to matrix_over(a, size).multiply(x, y)."""
-    d = a.dim
-    xs, ys = _unflatten(x, size, d), _unflatten(y, size, d)
+def _matrix_product(a: FDAlgebra, x: AMatEntries, y: AMatEntries) -> AMatEntries:
+    """Product of two square matrices over a, computed block by block with
+    a.multiply; equal to matrix_over(a, size).multiply on the flattened
+    entries."""
+    size, d = len(x), a.dim
     out = []
     for p in range(size):
+        row = []
         for q in range(size):
             acc = [Fraction(0)] * d
             for r in range(size):
-                for t, c in enumerate(a.multiply(xs[p][r], ys[r][q])):
+                for t, c in enumerate(a.multiply(x[p][r], y[r][q])):
                     acc[t] += c
-            out.extend(acc)
+            row.append(tuple(acc))
+        out.append(tuple(row))
     return tuple(out)
 
 
-def _refine(mul, p: Vec, bound: int) -> tuple[Vec, int]:
-    """Apply p -> 3p^2 - 2p^3 until p is idempotent under mul, returning it
-    and the number of passes; more than bound passes is an internal error."""
-    steps = 0
+def _refine(qp: QuotientPresentation, p: AMatEntries) -> tuple[AMatEntries, int]:
+    """Apply P -> 3P^2 - 2P^3 to a square matrix over qp.algebra until it is
+    idempotent, returning it and the number of passes. More passes than
+    ceil(log2) of the ideal's nilpotency index (memoized on the algebra), or a
+    result outside the class of P modulo the ideal, is an internal error."""
+    a = qp.algebra
+    bound = (_ideal_nilpotency_index(a, qp.ideal) - 1).bit_length()
+    start, steps = p, 0
     while True:
-        sq = mul(p, p)
+        sq = _matrix_product(a, p, p)
         if sq == p:
-            return p, steps
+            break
         if steps >= bound:
             raise InternalError("idempotent refinement exceeded its guaranteed bound")
-        p = tuple(3 * b - 2 * c for b, c in zip(sq, mul(sq, p)))
+        p = tuple(
+            tuple(tuple(3 * b - 2 * c for b, c in zip(s, t)) for s, t in zip(srow, trow))
+            for srow, trow in zip(sq, _matrix_product(a, sq, p))
+        )
         steps += 1
+    # Without a pass p is start itself, so only a refined p is compared.
+    if steps and any(
+        qp.project(e) != qp.project(f) for row, s_row in zip(p, start) for e, f in zip(row, s_row)
+    ):
+        raise InternalError("refinement changed the class modulo the ideal")
+    return p, steps
 
 
 class IdempotentMatrix:
@@ -93,8 +100,7 @@ class IdempotentMatrix:
         if any(len(row) != size for row in entries):
             raise ValueError("algebra-valued matrix must be square")
         ents = tuple(tuple(algebra.element(entry) for entry in row) for row in entries)
-        flat = _flatten(ents)
-        if _matrix_product(algebra, size, flat, flat) != flat:
+        if _matrix_product(algebra, ents, ents) != ents:
             raise NotIdempotentError("matrix is not idempotent over the algebra")
         self._fill(algebra, ents)
 
@@ -156,12 +162,6 @@ class ProjectiveModuleDescriptor:
     uniform_rank: Fraction | None
 
 
-def _refinement_bound(qp: QuotientPresentation) -> int:
-    """ceil(log2) of the ideal's nilpotency index (memoized on the algebra):
-    the most passes needed."""
-    return (_ideal_nilpotency_index(qp.algebra, qp.ideal) - 1).bit_length()
-
-
 def lift_idempotent_with_count(q: Sequence, qp: QuotientPresentation) -> tuple[Vec, int]:
     """Lift an idempotent of the quotient through the nilpotent ideal,
     returning the lifted element and the number of refinement passes."""
@@ -180,15 +180,10 @@ def refine_to_idempotent(qp: QuotientPresentation, p: Sequence) -> tuple[Vec, in
     Unlike lift_idempotent this starts from the given representative, not
     from the section of its class.
     """
-    a = qp.algebra
-    p = a.element(p)
-    q = qp.project(p)
-    if not qp.quotient.is_idempotent(q):
+    p = qp.algebra.element(p)
+    if not qp.quotient.is_idempotent(qp.project(p)):
         raise NotIdempotentError("element is not idempotent modulo the ideal")
-    bound = _refinement_bound(qp)
-    out, steps = _refine(a.multiply, p, bound)
-    if qp.project(out) != q:
-        raise InternalError("refinement changed the class modulo the ideal")
+    ((out,),), steps = _refine(qp, ((p,),))
     return out, steps
 
 
@@ -197,16 +192,9 @@ def lift_idempotent_matrix(q: IdempotentMatrix, qp: QuotientPresentation) -> Ide
     idempotent over the ambient algebra."""
     if q.algebra != qp.quotient:
         raise AlgebraMismatchError("matrix is not defined over the quotient algebra")
-    bound = _refinement_bound(qp)
-    a = qp.algebra
-    size = q.size
-    start = _flatten([[qp.lift(entry) for entry in row] for row in q.entries])
-    flat, _ = _refine(lambda x, y: _matrix_product(a, size, x, y), start, bound)
-    current = _unflatten(flat, size, a.dim)
-    if tuple(tuple(qp.project(e) for e in row) for row in current) != q.entries:
-        raise InternalError("refinement changed a matrix entry modulo the ideal")
+    lifted, _ = _refine(qp, tuple(tuple(qp.lift(entry) for entry in row) for row in q.entries))
     # _refine returned only once P * P = P, so the constructor's check is skipped.
-    return IdempotentMatrix.__new__(IdempotentMatrix)._fill(a, current)
+    return IdempotentMatrix.__new__(IdempotentMatrix)._fill(qp.algebra, lifted)
 
 
 def projective_module(presentation: IdempotentMatrix) -> ProjectiveModuleDescriptor:

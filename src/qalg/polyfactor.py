@@ -252,17 +252,20 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     return [_gf_monic(u, p) for u in factors]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _least_factor(n: int) -> int:
+    """Least divisor d >= 2 of an integer n >= 2, by trial division."""
     if n % 2 == 0:
-        return n == 2
+        return 2
     d = 3
     while d * d <= n:
         if n % d == 0:
-            return False
+            return d
         d += 2
-    return True
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _least_factor(n) == n
 
 
 def _odd_primes():

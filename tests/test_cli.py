@@ -8,6 +8,7 @@ import json
 
 import pytest
 
+import qalg.cli
 from qalg.algebra import FDAlgebra
 from qalg.cli import main, render_json
 from qalg.edbounds import (
@@ -17,6 +18,7 @@ from qalg.edbounds import (
     karpenko_value,
     partition_square_sum_check,
 )
+from qalg.errors import NotDivisorError
 from qalg.structure import jacobson_radical
 
 
@@ -348,6 +350,17 @@ class TestEdFormulas:
         assert code == 3
         envelope = json.loads(out)
         assert envelope["status"] == "error" and envelope["code"] == "math"
+
+    def test_math_error_from_any_handler_exits_3(self, capsys, monkeypatch):
+        def raises(*args):
+            raise NotDivisorError("patched precondition failure")
+
+        monkeypatch.setattr(qalg.cli, "bound_csa", raises)
+        code, out, _ = run(capsys, "ed", "csa", "--deg", "6", "--rank", "1/6", "--json")
+        assert code == 3
+        assert out == render_json(
+            {"status": "error", "code": "math", "message": "patched precondition failure"}
+        )
 
     def test_division_bad_degree(self, capsys):
         code, _, _ = run(capsys, "ed", "division", "--deg", "0", "--d", "1")

@@ -51,6 +51,19 @@ class TestPrimeHelpers:
         assert prime_factors(1) == ()
         assert prime_factors(97) == (97,)
 
+    def test_trial_division_agrees_with_a_sieve(self):
+        bound = 5000
+        sieve = [False, False] + [True] * (bound - 2)
+        for p in range(2, bound):
+            if sieve[p]:
+                for m in range(p * p, bound, p):
+                    sieve[m] = False
+        primes = [p for p in range(bound) if sieve[p]]
+        for n in range(-3, bound):
+            assert is_prime(n) == (n >= 0 and sieve[n])
+        for n in range(1, bound):
+            assert prime_factors(n) == tuple(p for p in primes if n % p == 0)
+
     def test_vp_examples(self):
         assert vp(2, 8) == 3
         assert vp(3, 8) == 0

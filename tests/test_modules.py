@@ -33,9 +33,7 @@ from qalg.errors import (
 )
 from qalg.modules import (
     IdempotentMatrix,
-    _flatten,
     _matrix_product,
-    _unflatten,
     lift_idempotent,
     lift_idempotent_matrix,
     lift_idempotent_with_count,
@@ -86,16 +84,14 @@ def sheared_presentations(a, seed):
     idempotents = [zero] + [
         lift_idempotent(f.central_idempotent, qp) for f in wedderburn_decomposition(a).factors
     ]
-    identity = _flatten([[one, zero], [zero, one]])
+    identity = ((one, zero), (zero, one))
     out = []
     for e in idempotents:
         p = IdempotentMatrix.diagonal(a, [e, one])
-        flat = _flatten(p.entries)
         for s, s_inv in shears:
-            s, s_inv = _flatten(s), _flatten(s_inv)
-            assert _matrix_product(a, 2, s, s_inv) == identity
-            conj = _matrix_product(a, 2, _matrix_product(a, 2, s, flat), s_inv)
-            out.append((p, IdempotentMatrix(a, _unflatten(conj, 2, a.dim))))
+            assert _matrix_product(a, s, s_inv) == identity
+            conj = _matrix_product(a, _matrix_product(a, s, p.entries), s_inv)
+            out.append((p, IdempotentMatrix(a, conj)))
     return out
 
 
@@ -178,10 +174,28 @@ class TestRefineToIdempotent:
         with pytest.raises(NotIdempotentError):
             refine_to_idempotent(qp, (2, 5, 0))
 
+    def test_element_is_refined_as_a_one_by_one_matrix(self, monkeypatch):
+        # One pass is a square and a cube of ((p,),), and the square of the
+        # result ends the loop.
+        a = matrix_over(dual_numbers(), 2)
+        qp = radical_quotient(a)
+        p0 = tuple(x + y for x, y in zip(a.basis_element(0), a.basis_element(1)))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _matrix_product(*args)
+
+        monkeypatch.setattr(qalg.modules, "_matrix_product", counted)
+        assert refine_to_idempotent(qp, p0) == (a.basis_element(0), 1)
+        assert len(calls) == 3
+        assert all(len(x) == 1 and len(x[0]) == 1 for _, x, _ in calls)
+
 
 class TestClassCheckSurvivesOptimize:
     def test_refine_class_check_raises_under_python_o(self):
-        # _refine patched to return 0, which is not in the class of the unit
+        # _matrix_product patched to return zero matrices: the loop refines
+        # the unit to 0, which is idempotent but not in the class of the unit
         # modulo the radical of the dual numbers
         program = (
             "import qalg.modules\n"
@@ -189,7 +203,8 @@ class TestClassCheckSurvivesOptimize:
             "from qalg.errors import InternalError\n"
             "a = dual_numbers()\n"
             "qp = quotient_by_ideal(a, Subspace(2, [[0, 1]]))\n"
-            "qalg.modules._refine = lambda mul, p, bound: (a.zero(), 0)\n"
+            "qalg.modules._matrix_product = lambda a, x, y: tuple(\n"
+            "    tuple(a.zero() for _ in row) for row in x)\n"
             "try:\n"
             "    qalg.modules.refine_to_idempotent(qp, a.unit)\n"
             "except InternalError as exc:\n"
@@ -329,12 +344,27 @@ class TestMatrixProduct:
         "base", [dual_numbers(), upper_triangular(2)], ids=["dual_numbers", "upper_triangular_2"]
     )
     def test_block_product_matches_matrix_over(self, base):
-        oracle = matrix_over(base, 2)
+        # matrix_over orders its coordinates like the basis E_pq tensor b_t:
+        # by (p, q, t).
         rng = random.Random(11)
-        for _ in range(10):
-            x = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(oracle.dim))
-            y = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(oracle.dim))
-            assert _matrix_product(base, 2, x, y) == oracle.multiply(x, y)
+
+        def draw(size):
+            return tuple(
+                tuple(
+                    tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(base.dim))
+                    for _ in range(size)
+                )
+                for _ in range(size)
+            )
+
+        def flat(m):
+            return tuple(c for row in m for entry in row for c in entry)
+
+        for size in (1, 2, 3):
+            oracle = matrix_over(base, size)
+            for _ in range(10):
+                x, y = draw(size), draw(size)
+                assert flat(_matrix_product(base, x, y)) == oracle.multiply(flat(x), flat(y))
 
 
 class TestIdempotentMatrixType:
