@@ -257,26 +257,6 @@ class FDAlgebra:
         x = as_vector(x, self.dim)
         return self.multiply(x, x) == x
 
-    def left_regular_matrix(self, x: Sequence) -> Mat:
-        """Matrix of y -> x*y on column coordinate vectors."""
-        return self._regular_matrix(x, lambda i, j: self._terms[i][j])
-
-    def right_regular_matrix(self, x: Sequence) -> Mat:
-        """Matrix of y -> y*x on column coordinate vectors."""
-        return self._regular_matrix(x, lambda i, j: self._terms[j][i])
-
-    def _regular_matrix(self, x: Sequence, terms) -> Mat:
-        """Entry (k, j) is the sum over i of x_i * n / _den for (k, n) in terms(i, j)."""
-        n = self.dim
-        xd, xs = _numerators(as_vector(x, n))
-        rows = [[0] * n for _ in range(n)]
-        for i, xi in xs:
-            for j in range(n):
-                for k, s in terms(i, j):
-                    rows[k][j] += xi * s
-        den = xd * self._den
-        return Mat([_over(r, den) for r in rows])
-
     # -- global structure ----------------------------------------------------
 
     def validate(self) -> None:

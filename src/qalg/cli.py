@@ -386,20 +386,14 @@ def _group_table_by_name(name: str) -> list[list[int]]:
 def cmd_gen(args) -> tuple[dict, list[str]]:
     kind = args.kind
     if kind == "matrix":
-        if args.size < 1:
-            raise input_error("matrix size must be a positive integer")
         a = matrix_algebra(args.size)
     elif kind == "upper-triangular":
-        if args.size < 1:
-            raise input_error("matrix size must be a positive integer")
         a = upper_triangular(args.size)
     elif kind == "dual-numbers":
         a = dual_numbers()
     elif kind == "quaternions":
         pa = parse_rational_flag(args.a, "first quaternion parameter")
         pb = parse_rational_flag(args.b, "second quaternion parameter")
-        if pa == 0 or pb == 0:
-            raise input_error("quaternion parameters must be nonzero")
         a = quaternions(pa, pb)
     elif kind == "group":
         a = group_algebra(_group_table_by_name(args.name))

@@ -1,9 +1,10 @@
-"""Fixture algebras with frozen golden summaries, plus independent oracles.
+"""Fixture algebras with frozen golden summaries.
 
 The golden values were produced by the named oracle for each fixture (Maschke
 plus character theory for group algebras, the trace-form determinant for
 semisimplicity, direct subspace powering for nilpotency) and frozen only
-after the structure pipeline reproduced them.
+after the structure pipeline reproduced them. The oracles that the tests run
+live with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Callable, Sequence
 
 from .algebra import (
     FDAlgebra,
-    Subspace,
     direct_product,
     dual_numbers,
     group_algebra,
@@ -23,9 +23,6 @@ from .algebra import (
     quaternions,
     upper_triangular,
 )
-from .errors import InternalError, NotAnIdealError, NotNilpotentError
-from .linalg import Mat, kernel_basis, rref
-from .modules import ProjectiveModuleDescriptor
 
 
 def cyclic_table(n: int) -> list[list[int]]:
@@ -195,116 +192,3 @@ def fixture_by_name(name: str) -> FixtureSpec:
             return spec
     raise KeyError(f"no fixture named {name!r}")
 
-
-def nilpotency_oracle(a: FDAlgebra, n: Subspace) -> int:
-    """Nilpotency index of a two-sided ideal by direct subspace powering.
-    Independent of the radical pipeline: raises NotAnIdealError if n is not
-    an ideal and NotNilpotentError if its powers never reach zero."""
-    if n.ambient_dim != a.dim:
-        raise NotAnIdealError("subspace does not live in the algebra")
-    for u in n.vectors():
-        for i in range(a.dim):
-            e = a.basis_element(i)
-            if not n.contains(a.multiply(e, u)) or not n.contains(a.multiply(u, e)):
-                raise NotAnIdealError("subspace is not a two-sided ideal")
-    # Rows spanning n^t. For an ideal n^(t+1) lies in n^t, so equal rank
-    # means the powers have stopped at a nonzero subspace.
-    power = list(n.vectors())
-    t = 1
-    while power:
-        ech, pivots = rref(Mat([a.multiply(x, y) for x in power for y in n.vectors()]))
-        if len(pivots) == len(power):
-            raise NotNilpotentError("ideal powers stabilize at a nonzero subspace")
-        power = ech.data[: len(pivots)]
-        t += 1
-    return t
-
-
-def _module_basis(m: ProjectiveModuleDescriptor) -> Mat:
-    """Canonical basis (rows) of the image of the presentation acting on
-    columns of algebra elements, inside Q^(size * dim)."""
-    a = m.algebra
-    size = m.presentation.size
-    dim = a.dim
-    columns = []
-    for v in range(size):
-        for j in range(dim):
-            ej = a.basis_element(j)
-            col = []
-            for u in range(size):
-                col.extend(a.multiply(m.presentation.entries[u][v], ej))
-            columns.append(col)
-    ech, pivots = rref(Mat(columns))
-    rows = [ech.data[i] for i in range(len(pivots))]
-    return Mat(rows) if rows else Mat.zeros(0, size * dim)
-
-
-def _action_matrices(m: ProjectiveModuleDescriptor, basis: Mat) -> list[Mat]:
-    """Matrices of the right action of each algebra basis element on the
-    module, in the module basis coordinates."""
-    a = m.algebra
-    size = m.presentation.size
-    dim = a.dim
-    ech, pivots = rref(basis)
-    out = []
-    for j in range(dim):
-        ej = a.basis_element(j)
-        cols = []
-        for t in range(basis.rows):
-            vec = basis.data[t]
-            moved = []
-            for u in range(size):
-                moved.extend(a.multiply(vec[u * dim : (u + 1) * dim], ej))
-            coords = [moved[p] for p in pivots]
-            residue = list(moved)
-            for c, brow in zip(coords, ech.data):
-                if c != 0:
-                    residue = [x - c * y for x, y in zip(residue, brow)]
-            if any(residue):
-                raise InternalError("module basis is not action-invariant")
-            cols.append(coords)
-        out.append(Mat(cols).transpose() if cols else Mat.zeros(0, 0))
-    return out
-
-
-def hom_dim_oracle(m1: ProjectiveModuleDescriptor, m2: ProjectiveModuleDescriptor) -> int:
-    """Dimension of the space of module maps m1 -> m2, computed directly by
-    solving the intertwiner system F rho1(a) = rho2(a) F over all basis
-    elements a. Independent of rank vectors and the Wedderburn pipeline."""
-    if m1.algebra != m2.algebra:
-        raise ValueError("modules live over different algebras")
-    a = m1.algebra
-    basis1 = _module_basis(m1)
-    basis2 = _module_basis(m2)
-    n1, n2 = basis1.rows, basis2.rows
-    if n1 == 0 or n2 == 0:
-        return 0
-    rho1 = _action_matrices(m1, basis1)
-    rho2 = _action_matrices(m2, basis2)
-    solution = None  # rows span the current solution space of vectorized F
-    unknowns = n2 * n1
-    for r1, r2 in zip(rho1, rho2):
-        rows = []
-        for s in range(n2):
-            for t in range(n1):
-                coeff = [0] * unknowns
-                for u in range(n1):
-                    coeff[s * n1 + u] += r1.data[u][t]
-                for u in range(n2):
-                    coeff[u * n1 + t] -= r2.data[s][u]
-                rows.append(coeff)
-        constraint = Mat(rows)
-        if solution is None:
-            solution = kernel_basis(constraint)
-        else:
-            if solution.rows == 0:
-                break
-            reduced = constraint * solution.transpose()
-            small = kernel_basis(reduced)
-            if small.rows == 0:
-                solution = Mat.zeros(0, unknowns)
-                break
-            solution = small * solution
-    if solution is None:
-        raise InternalError("hom oracle built no constraints")
-    return solution.rows

@@ -184,11 +184,6 @@ class Mat:
             return Mat.zeros(0, self.cols + other.cols)
         return Mat([r1 + r2 for r1, r2 in zip(self.data, other.data)])
 
-    def vstack(self, other: "Mat") -> "Mat":
-        if self.cols != other.cols:
-            raise ValueError("column count mismatch")
-        return Mat(self.data + other.data)
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_to_str(a) for a in r) for r in self.data)
         return f"Mat[{body}]"
@@ -296,43 +291,20 @@ def solve_linear(a: Mat, b: Mat) -> Mat:
     return Mat(x)
 
 
-def poly_eval_matrix(p: Poly, m: Mat) -> Mat:
-    """Evaluate a polynomial at a square matrix (x^0 becomes the identity)."""
-    if not m.is_square():
-        raise ValueError("polynomial evaluation needs a square matrix")
-    out = Mat.zeros(m.rows, m.cols)
-    power = Mat.identity(m.rows)
-    for i, c in enumerate(p.coeffs):
-        if i > 0:
-            power = power * m
-        if c != 0:
-            out = out + power.scale(c)
-    return out
-
-
-def minimal_polynomial(x, multiply=None, one=None) -> Poly:
-    """Monic minimal polynomial: the first linear dependence among 1, x, x^2, ...
-
-    x is a square Mat (powers are matrix products, 1 is the identity), or an
-    element of an algebra given with that algebra's multiply and unit. The
-    powers join one reduced echelon basis until one of them is dependent.
+def minimal_polynomial(x: Sequence, multiply, one: Sequence) -> Poly:
+    """Monic minimal polynomial of an algebra element: the first linear
+    dependence among one, x, x^2, ..., with powers taken by the algebra's
+    multiply and unit. The powers join one reduced echelon basis until one of
+    them is dependent. A square matrix's minimal polynomial is that of its
+    row-major flattening in matrix_algebra(n).
     """
-    if multiply is None:
-        if not isinstance(x, Mat) or not x.is_square():
-            raise ValueError("minimal polynomial needs a square matrix")
-        multiply, one = Mat.__mul__, Mat.identity(x.rows)
-
-        def coords(m: Mat) -> list[Fraction]:
-            return [c for r in m.data for c in r]
-    else:
-        coords = list
     rows: list = []
     pivots: list[int] = []
     power = one
-    powers = [coords(power)]
+    powers = [list(power)]
     while _insert(rows, pivots, powers[-1]):
         power = multiply(power, x)
-        powers.append(coords(power))
+        powers.append(list(power))
     # The first d powers are independent and fixed by their entries at the d
     # pivots, so those entries, one column per power, reduce to [I | b], and
     # x^d = -sum b_i x^i. The check below reads the relation on all coordinates.

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import FDAlgebra, QuotientPresentation, Subspace, Vec, subalgebra_on
+from .algebra import FDAlgebra, QuotientPresentation, Vec
 from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, UnknownIndexError
 from .linalg import rat_to_str, rat_vector_from_json
 from .structure import (
@@ -253,11 +253,3 @@ def rank_realizable(w: WedderburnReport, r: Fraction) -> bool:
             return False
     return True
 
-
-def peirce_corner(a: FDAlgebra, p: Sequence) -> FDAlgebra:
-    """Corner algebra p*a*p with unit p. p must be idempotent."""
-    p = a.element(p)
-    if not a.is_idempotent(p):
-        raise NotIdempotentError("corner element is not idempotent")
-    corner = [a.multiply(p, a.multiply(a.basis_element(i), p)) for i in range(a.dim)]
-    return subalgebra_on(a, Subspace(a.dim, corner), p)

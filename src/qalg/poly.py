@@ -91,12 +91,6 @@ class Poly:
         c = _coerce(c)
         return Poly([c * a for a in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -132,12 +126,6 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def lcm(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        g = self.gcd(other)
-        return ((self * other) // g).monic()
-
     def extended_gcd(self, other: "Poly") -> tuple["Poly", "Poly", "Poly"]:
         """(g, s, t) with s*self + t*other = g, g monic."""
         r0, r1 = self, other
@@ -156,13 +144,6 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x) -> Fraction:
-        x = _coerce(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def sort_key(self) -> tuple:
         """Deterministic ordering key: degree first, then coefficients."""

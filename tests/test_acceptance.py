@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from qalg.algebra import matrix_algebra
-from qalg.corpus import fixture_by_name, fixtures, hom_dim_oracle
+from qalg.corpus import fixture_by_name, fixtures
 from qalg.edbounds import (
     bound_division,
     bound_from_wedderburn,
@@ -35,6 +35,8 @@ from qalg.modules import (
 from qalg.poly import Poly
 from qalg.polyfactor import factor_rational
 from qalg.structure import jacobson_radical, try_matrix_size, wedderburn_decomposition
+
+from oracles import hom_dim_oracle
 
 X = Poly.x()
 

@@ -91,8 +91,10 @@ class TestGen:
         assert "available:" in err and "quaternions" in err
 
     def test_bad_matrix_size(self, capsys):
-        code, _, err = run(capsys, "gen", "matrix", "0")
-        assert code == 2
+        for kind in ("matrix", "upper-triangular"):
+            code, _, err = run(capsys, "gen", kind, "0")
+            assert code == 2, kind
+            assert "size must be at least 1" in err, kind
 
     @pytest.mark.parametrize(
         "args, missing",

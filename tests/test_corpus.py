@@ -1,26 +1,31 @@
-"""Tests for the fixture corpus and its independent oracles.
+"""Tests for the fixture corpus and the independent oracles of tests/oracles.py.
 
 The golden numbers asserted here (radical dimension, nilpotency index) come
 from the hand derivations recorded on each fixture's `oracle` field, not from
 running the library; the Hom dimensions are classical values: for a matrix
 algebra, Hom(eA, fA) has dimension dim(fAe)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import oracles
+import qalg.corpus
 import qalg.structure
 from qalg.algebra import direct_product, dual_numbers, group_algebra, matrix_algebra, Subspace
 from qalg.corpus import (
     cyclic_table,
     fixture_by_name,
     fixtures,
-    hom_dim_oracle,
-    nilpotency_oracle,
     product_table,
     symmetric3_table,
 )
 from qalg.errors import NotAnIdealError, NotNilpotentError
 from qalg.modules import IdempotentMatrix, projective_module
 from qalg.structure import jacobson_radical
+
+from oracles import hom_dim_oracle, nilpotency_oracle
 
 
 def module(a, entries):
@@ -203,3 +208,60 @@ class TestHomDimOracle:
         zero = module(d, [[d.zero()]])
         assert hom_dim_oracle(free, zero) == 0
         assert hom_dim_oracle(zero, free) == 0
+
+
+
+PIPELINE = ("qalg.linalg", "qalg.structure", "qalg.modules")
+
+
+def forbidden_names(source):
+    """(line, dotted name) of each qalg name in the source that lies in a
+    pipeline module or has an underscore-prefixed part: import targets, names
+    imported from qalg modules, and attribute chains."""
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            named += [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                parts.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name):
+                named.append((node.lineno, ".".join([base.id, *reversed(parts)])))
+    return [
+        (line, name)
+        for line, name in named
+        if name.split(".")[0] == "qalg"
+        and (
+            any(name == m or name.startswith(m + ".") for m in PIPELINE)
+            or any(part.startswith("_") for part in name.split("."))
+        )
+    ]
+
+
+class TestOraclesStandApart:
+    """The oracles do not lean on the code they check, and the package no
+    longer carries them."""
+
+    def test_oracles_use_no_pipeline_module_and_no_private_name(self):
+        for source in (
+            "from qalg.linalg import rref",
+            "from qalg import structure",
+            "import qalg.modules",
+            "from qalg.algebra import _numerators",
+            "import qalg\nqalg.algebra.FDAlgebra._fill",
+        ):
+            assert forbidden_names(source), source
+        assert forbidden_names(Path(oracles.__file__).read_text()) == []
+
+    def test_corpus_defines_no_oracle(self):
+        def defined(path):
+            return {n.name for n in ast.parse(Path(path).read_text()).body if isinstance(n, ast.FunctionDef)}
+
+        corpus = defined(qalg.corpus.__file__)
+        assert not corpus & defined(oracles.__file__)
+        assert not [name for name in corpus if "oracle" in name]

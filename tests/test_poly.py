@@ -68,19 +68,10 @@ class TestArithmetic:
             else:
                 assert (a * b).degree() == a.degree() + b.degree()
 
-    def test_scale_and_shift(self):
+    def test_scale(self):
         p = Poly([1, 2])
         assert p.scale(3) == Poly([3, 6])
-        assert p.shift(2) == Poly([0, 0, 1, 2])
-        assert p.shift(0) == p
-
-    def test_evaluate_matches_expansion(self):
-        rng = random.Random(2)
-        for _ in range(30):
-            p = random_poly(rng)
-            x = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            direct = sum((c * x**i for i, c in enumerate(p.coeffs)), Fraction(0))
-            assert p.evaluate(x) == direct
+        assert p.scale(0).is_zero()
 
     def test_derivative_rules(self):
         rng = random.Random(3)
@@ -148,13 +139,15 @@ class TestGcd:
             assert g == a.gcd(b)
 
     def test_lcm_times_gcd(self):
+        # lcm(a, b) = (a * b // gcd(a, b)).monic(), the one-liner that replaced
+        # Poly.lcm: a monic common multiple whose product with the gcd is a * b.
         rng = random.Random(7)
         for _ in range(30):
             a, b = random_poly(rng, max_deg=4), random_poly(rng, max_deg=4)
             if a.is_zero() or b.is_zero():
-                assert a.lcm(b).is_zero()
                 continue
-            g, m = a.gcd(b), a.lcm(b)
+            g = a.gcd(b)
+            m = (a * b // g).monic()
             assert m.is_monic()
             assert (m % a.monic()).is_zero() and (m % b.monic()).is_zero()
             assert (g * m).monic() == (a * b).monic()
