@@ -3,12 +3,14 @@
 An algebra is given by structure constants: ``structure[i][j]`` is the
 coordinate vector of the basis product e_i * e_j. It stores them once, as the
 nonzero integer numerators over one common denominator, and computes products,
-associativity checks, regular matrices, the center and the trace form in
-Python ints; ``structure`` is derived from that table on demand. One method,
-FDAlgebra._fill, writes the table: the public constructor hands it the nonzero
-entries of a dense table, the built-in constructors only their nonzero
-products. Elements are plain tuples of Fractions relative to the algebra's
-basis; there is no element wrapper class.
+associativity checks, the center and the trace form in Python ints;
+``structure`` is derived from that table on demand. This module is the only
+one that reads the table. One method, FDAlgebra._fill, writes it: the public
+constructor hands it the nonzero entries of a dense table, the built-in
+constructors only their nonzero products, and tensor_product is the one
+writer of tensor-shaped tables (matrix_over is a tensor product).
+Elements are plain tuples of Fractions relative to the algebra's basis; there
+is no element wrapper class.
 All derived objects (center, quotients, subalgebras) use reduced row echelon
 bases so equal inputs always produce identical outputs.
 """
@@ -131,8 +133,8 @@ class FDAlgebra:
     denominator: ``_terms[i][j]`` holds the pairs (k, n) with n a nonzero int
     and n / _den the e_k coordinate of e_i * e_j, and ``_den`` is the lcm of
     the reduced denominators of all constants; ``_fill`` is the one writer
-    of this table. Products, validate, the regular matrices, the center and
-    the trace form work on these ints, and zero constants cost them nothing.
+    of this table. Products, validate, the center and the trace form work on
+    these ints, and zero constants cost them nothing.
     ``structure``, the dense tuples of Fractions, is rebuilt from the table
     on each access.
     """
@@ -316,6 +318,21 @@ class FDAlgebra:
         m = Mat([_over(rows[jk], self._den) for jk in sorted(rows)]) if rows else Mat.zeros(0, n)
         return Subspace(n, kernel_basis(m))
 
+    def _trace_numerators(self) -> list[int]:
+        """tr(L_b) * _den for each basis element b."""
+        return [sum(c for j, terms in enumerate(row) for t, c in terms if t == j) for row in self._terms]
+
+    def _traces(self) -> Vec:
+        """tr(L_b) for each basis element b, so that the trace of left
+        multiplication by y is the linear functional sum_k y_k * tr(L_{b_k})."""
+        return _over(self._trace_numerators(), self._den)
+
+    def _trace_form(self) -> Mat:
+        """The trace form B(x, y) = tr(L_{xy}) on the basis, as the integer
+        matrix of B(e_i, e_j) * _den^2: the scaling keeps its kernel."""
+        traces = self._trace_numerators()
+        return Mat([[sum(c * traces[k] for k, c in terms) for terms in row] for row in self._terms])
+
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -496,43 +513,34 @@ def group_algebra(table: Sequence[Sequence[int]]) -> FDAlgebra:
     return FDAlgebra._from_products([int(k == identity) for k in range(n)], products)
 
 
+def _matrix_units(n: int, pairs: Sequence[tuple[int, int]]) -> FDAlgebra:
+    """The span of the matrix units E_pq of size n for the given pairs (p, q),
+    in that order, closed under E_pq E_qs = E_ps."""
+    if n < 1:
+        raise ValueError("matrix size must be at least 1")
+    index = {pq: i for i, pq in enumerate(pairs)}
+    products = [[[(index[(p, s)], 1)] if q == r else [] for (r, s) in pairs] for (p, q) in pairs]
+    return FDAlgebra._from_products([int(p == q) for (p, q) in pairs], products)
+
+
 def matrix_algebra(n: int) -> FDAlgebra:
     """Full matrix algebra of n x n rational matrices, basis E_pq in row-major
     order."""
-    return matrix_over(None, n)
+    return _matrix_units(n, [(p, q) for p in range(n) for q in range(n)])
 
 
 def matrix_over(base: FDAlgebra | None, n: int) -> FDAlgebra:
     """Matrix algebra of size n over a coefficient algebra (rationals when
-    base is None). Basis: E_pq tensor b_t, ordered by (p, q, t)."""
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    if base is None:
-        bdim, bunit, bproducts = 1, (1,), [[[(0, 1)]]]
-    else:
-        bdim, bunit = base.dim, base.unit
-        bproducts = [[[(w, Fraction(c, base._den)) for w, c in v] for v in row] for row in base._terms]
-    cells = [(p, q, t) for p in range(n) for q in range(n) for t in range(bdim)]
-    # (E_pq b_t)(E_rs b_u) is E_ps (b_t b_u) when q == r, and zero otherwise.
-    products = [
-        [
-            [((p * n + s) * bdim + w, c) for w, c in bproducts[t][u]] if q == r else []
-            for (r, s, u) in cells
-        ]
-        for (p, q, t) in cells
-    ]
-    return FDAlgebra._from_products([bunit[t] if p == q else 0 for (p, q, t) in cells], products)
+    base is None): tensor_product(matrix_algebra(n), base), with basis E_pq
+    tensor b_t ordered by (p, q, t)."""
+    m = matrix_algebra(n)
+    return m if base is None else tensor_product(m, base)
 
 
 def upper_triangular(n: int) -> FDAlgebra:
     """Upper triangular n x n matrices, basis E_pq for p <= q in lexicographic
     order."""
-    if n < 1:
-        raise ValueError("matrix size must be at least 1")
-    pairs = [(p, q) for p in range(n) for q in range(p, n)]
-    index = {pq: i for i, pq in enumerate(pairs)}
-    products = [[[(index[(p, s)], 1)] if q == r else [] for (r, s) in pairs] for (p, q) in pairs]
-    return FDAlgebra._from_products([int(p == q) for (p, q) in pairs], products)
+    return _matrix_units(n, [(p, q) for p in range(n) for q in range(p, n)])
 
 
 def dual_numbers() -> FDAlgebra:
@@ -569,3 +577,19 @@ def direct_product(algebras: Sequence[FDAlgebra]) -> FDAlgebra:
             products.append([[]] * off + shifted + [[]] * (dim - off - a.dim))
         unit += a.unit
     return FDAlgebra._from_products(unit, products)
+
+
+def tensor_product(a: FDAlgebra, b: FDAlgebra) -> FDAlgebra:
+    """The tensor product of a and b over Q, with basis e_i tensor f_t at
+    index i * b.dim + t (a-major). (e_i f_t)(e_j f_u) = (e_i e_j)(f_t f_u)."""
+    m, den = b.dim, a._den * b._den
+    products = [
+        [
+            [(k * m + w, Fraction(c * d, den)) for k, c in a._terms[i][j] for w, d in b._terms[t][u]]
+            for j in range(a.dim)
+            for u in range(m)
+        ]
+        for i in range(a.dim)
+        for t in range(m)
+    ]
+    return FDAlgebra._from_products([x * y for x in a.unit for y in b.unit], products)

@@ -14,18 +14,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NoSolutionError
-from .poly import Poly
+from .poly import Poly, rat
 
 # Rational scalar type used across the package. Fraction already guarantees
 # lowest terms and a positive denominator.
 Rat = Fraction
-
-
-def rat(x) -> Fraction:
-    """Coerce an int, string, or Fraction to Fraction. Floats are rejected."""
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; pass ints, strings, or Fractions")
-    return Fraction(x)
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -111,9 +104,6 @@ class Mat:
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i]
-
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.data)
 
@@ -122,24 +112,6 @@ class Mat:
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.data))
-
-    def __add__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._check_same_shape(other)
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
-
-    def __neg__(self) -> "Mat":
-        return Mat([[-a for a in r] for r in self.data])
-
-    def scale(self, c) -> "Mat":
-        c = rat(c)
-        return Mat([[c * a for a in r] for r in self.data])
-
-    def __matmul__(self, other: "Mat") -> "Mat":
-        return self.__mul__(other)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -160,17 +132,6 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for r in self.data for a in r)
-
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise ValueError("trace needs a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
-
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
         """Matrix times column vector, returned as a flat tuple. Zero
         entries of v and of each row are skipped."""
@@ -187,10 +148,6 @@ class Mat:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_to_str(a) for a in r) for r in self.data)
         return f"Mat[{body}]"
-
-    def _check_same_shape(self, other: "Mat") -> None:
-        if self.shape() != other.shape():
-            raise ValueError(f"shape mismatch: {self.shape()} vs {other.shape()}")
 
 
 def _reduce(rows: Sequence[Sequence], pivots: Sequence[int], v: Sequence) -> list[Fraction]:

@@ -35,7 +35,6 @@ from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, Unk
 from .linalg import rat_to_str, rat_vector_from_json
 from .structure import (
     WedderburnReport,
-    _basis_traces,
     _ideal_nilpotency_index,
     jacobson_radical,
     wedderburn_decomposition,
@@ -203,7 +202,7 @@ def projective_module(presentation: IdempotentMatrix) -> ProjectiveModuleDescrip
     qp = jacobson_radical(a).quotient
     w = wedderburn_decomposition(a)
     s = w.semisimple_quotient
-    traces = _basis_traces(s)
+    traces = s._traces()
     size = presentation.size
     diagonal = [qp.project(presentation.entries[u][u]) for u in range(size)]
     ranks = []

@@ -10,7 +10,9 @@ from fractions import Fraction
 from typing import Iterable
 
 
-def _coerce(x) -> Fraction:
+def rat(x) -> Fraction:
+    """Coerce an int, string, or Fraction to Fraction. Floats are rejected.
+    This is the package's one such coercion; qalg.linalg re-exports it."""
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass ints, strings, or Fractions")
     return Fraction(x)
@@ -22,7 +24,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_coerce(c) for c in coeffs]
+        cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -43,9 +45,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def leading_coefficient(self) -> Fraction:
         if not self.coeffs:
@@ -88,7 +87,7 @@ class Poly:
         return Poly(out)
 
     def scale(self, c) -> "Poly":
-        c = _coerce(c)
+        c = rat(c)
         return Poly([c * a for a in self.coeffs])
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:

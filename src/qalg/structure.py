@@ -41,9 +41,9 @@ from .algebra import (
     quotient_by_ideal,
 )
 from .errors import InternalError, NotNilpotentError, NotSemisimpleError, NotSimpleError
-from .linalg import Mat, kernel_basis, minimal_polynomial
+from .linalg import kernel_basis, minimal_polynomial
 from .poly import Poly
-from .polyfactor import factor_rational
+from .polyfactor import Factorization, factor_rational
 
 
 @dataclass(frozen=True)
@@ -103,25 +103,10 @@ def _ideal_nilpotency_index(a: FDAlgebra, n: Subspace) -> int:
     return t
 
 
-def _trace_numerators(a: FDAlgebra) -> list[int]:
-    """tr(L_b) * a._den for each basis element b."""
-    return [sum(c for j, terms in enumerate(row) for t, c in terms if t == j) for row in a._terms]
-
-
-def _basis_traces(a: FDAlgebra) -> Vec:
-    """tr(L_b) for each basis element b, so that the trace of left
-    multiplication by y is the linear functional sum_k y_k * tr(L_{b_k})."""
-    return tuple(Fraction(t, a._den) for t in _trace_numerators(a))
-
-
 @_memoized
 def jacobson_radical(a: FDAlgebra) -> RadicalReport:
     """Radical as the kernel of the trace form B(x, y) = tr(L_{xy})."""
-    n = a.dim
-    traces = _trace_numerators(a)
-    # B(e_i, e_j) * _den^2, in integers: scaling keeps the kernel.
-    gram = Mat([[sum(c * traces[k] for k, c in terms) for terms in row] for row in a._terms])
-    radical = Subspace(n, kernel_basis(gram))
+    radical = Subspace(a.dim, kernel_basis(a._trace_form()))
     index = _ideal_nilpotency_index(a, radical)
     quotient = quotient_by_ideal(a, radical)
     return RadicalReport(radical=radical, nilpotency_index=index, quotient=quotient)
@@ -235,19 +220,12 @@ def _find_nontrivial_idempotent(s: FDAlgebra, corner: Subspace, e: Vec) -> Vec |
         fac = factor_rational(minpoly)
         if len(fac.factors) < 2:
             continue
-        first_modulus = _poly_power(*fac.factors[0])
+        first_modulus = Factorization(Fraction(1), fac.factors[:1]).expand()
         p = _partial_fraction_idempotents(s, z, e, minpoly, [first_modulus])[0]
         if p == s.zero() or p == e:
             raise InternalError("split off a trivial idempotent")
         return p
     return None
-
-
-def _poly_power(p: Poly, n: int) -> Poly:
-    out = Poly([1])
-    for _ in range(n):
-        out = out * p
-    return out
 
 
 def _matrix_size_search(
@@ -264,7 +242,7 @@ def _matrix_size_search(
     splits, when the corner has shrunk to the center's dimension. A corner
     that does not split gives None.
     """
-    traces = _trace_numerators(s)
+    traces = s._traces()
     corner = factor_space
     while corner.dim > center_dim:
         p = _find_nontrivial_idempotent(s, corner, e)

@@ -26,6 +26,7 @@ from qalg.algebra import (
     matrix_algebra,
     matrix_over,
     quaternions,
+    tensor_product,
     upper_triangular,
 )
 from qalg.corpus import cyclic_table, fixtures, symmetric3_table
@@ -495,6 +496,27 @@ class TestWedderburn:
         assert (f.factor_dim, f.center_dim, f.degree_over_center, f.matrix_size) == (4, 1, 2, 2)
 
 
+class TestTensorProducts:
+    def test_quaternions_tensor_themselves_to_a_split_algebra(self):
+        # (-1,-1) has order 2 in the Brauer group, so H (x) H = M_4(Q).
+        h = quaternions(-1, -1)
+        w = wedderburn_decomposition(tensor_product(h, h))
+        shapes = [(f.factor_dim, f.center_dim, f.degree_over_center, f.matrix_size) for f in w.factors]
+        assert shapes == [(16, 1, 4, 4)]
+
+    def test_matrix_algebras_multiply_their_sizes(self):
+        w = wedderburn_decomposition(tensor_product(matrix_algebra(2), matrix_algebra(3)))
+        assert [(f.factor_dim, f.matrix_size) for f in w.factors] == [(36, 6)]
+
+    def test_radical_of_a_tensor_with_the_dual_numbers(self):
+        # rad(UT_2 (x) Q[t]/t^2) = E_12 (x) Q[t]/t^2 + UT_2 (x) t, of dim 4,
+        # whose square E_12 (x) t is nonzero and whose cube is zero.
+        a = tensor_product(upper_triangular(2), dual_numbers())
+        report = jacobson_radical(a)
+        assert report.radical.dim == 4 and report.nilpotency_index == 3
+        assert nilpotency_oracle(a, report.radical) == 3
+
+
 class TestMemo:
     def test_results_are_memoized_on_the_algebra_object(self):
         a = upper_triangular(3)
@@ -546,7 +568,7 @@ def assert_minimal_for_matrix(p, m):
     """p annihilates the square matrix m (a list of rows), and I, m, ...,
     m^(deg p - 1) are independent."""
     n = len(m)
-    assert p.is_monic()
+    assert p.leading_coefficient() == 1
     assert not any(c for r in reference_poly_at_matrix(p, m) for c in r)
     powers = [[[Fraction(int(i == j)) for j in range(n)] for i in range(n)]]
     for _ in range(p.degree() - 1):
