@@ -4,8 +4,10 @@ An algebra is given by structure constants: ``structure[i][j]`` is the
 coordinate vector of the basis product e_i * e_j. It stores them once, as the
 nonzero integer numerators over one common denominator, and computes products,
 associativity checks, the center and the trace form in Python ints;
-``structure`` is derived from that table on demand. This module is the only
-one that reads the table. One method, FDAlgebra._fill, writes it: the public
+``structure`` is derived from that table on demand. Products of elements and
+of matrices over the algebra (_matrix_product, for modules and structure)
+share one inner integer loop. This module is the only one that reads the
+table. One method, FDAlgebra._fill, writes it: the public
 constructor hands it the nonzero entries of a dense table, the built-in
 constructors only their nonzero products, and tensor_product is the one
 writer of tensor-shaped tables (matrix_over is a tensor product).
@@ -48,11 +50,20 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
 
-def _numerators(v: Vec) -> tuple[int, list[tuple[int, int]]]:
-    """The lcm d of the denominators of v, and the pairs (i, v_i * d) for
-    the nonzero v_i."""
-    d = lcm(*{c.denominator for c in v})
-    return d, [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(v) if c]
+def _scaled(v: Sequence, d: int) -> list[tuple[int, int]]:
+    """The pairs (i, v_i * d) for the nonzero v_i; d is a multiple of v's denominators."""
+    return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(v) if c]
+
+
+def _add_product(terms, out: list[int], xs, ys) -> None:
+    """Add the numerators of x * y into out, for x and y as their nonzero
+    pairs (i, numerator): the one inner loop of multiply and _matrix_product."""
+    for i, xi in xs:
+        row = terms[i]
+        for j, yj in ys:
+            c = xi * yj
+            for k, s in row[j]:
+                out[k] += c * s
 
 
 def _over(numerators: Sequence[int], den: int) -> Vec:
@@ -234,17 +245,34 @@ class FDAlgebra:
         return as_vector(values, self.dim)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
-        xd, xs = _numerators(as_vector(x, self.dim))
-        yd, ys = _numerators(as_vector(y, self.dim))
+        x, y = as_vector(x, self.dim), as_vector(y, self.dim)
+        xd, yd = lcm(*{c.denominator for c in x}), lcm(*{c.denominator for c in y})
         out = [0] * self.dim
-        terms = self._terms
-        for i, xi in xs:
-            row = terms[i]
-            for j, yj in ys:
-                c = xi * yj
-                for k, s in row[j]:
-                    out[k] += c * s
+        _add_product(self._terms, out, _scaled(x, xd), _scaled(y, yd))
         return _over(out, xd * yd * self._den)
+
+    def _matrix_product(self, x: Sequence[Sequence[Vec]], y: Sequence[Sequence[Vec]]) -> tuple[tuple[Vec, ...], ...]:
+        """The product of a p x r matrix x and an r x q matrix y over the
+        algebra, entries as coordinate vectors in nested rows; q is read from
+        y's first row. Each operand is read once, as integer numerators over
+        one denominator; pairs with a zero entry are skipped and sums are
+        taken in ints. No table of the matrix algebra is built."""
+        xd = lcm(*{c.denominator for row in x for v in row for c in v})
+        yd = lcm(*{c.denominator for row in y for v in row for c in v})
+        xs = [[_scaled(v, xd) for v in row] for row in x]
+        ys = [[_scaled(v, yd) for v in row] for row in y]
+        n, den, terms = self.dim, xd * yd * self._den, self._terms
+        out = []
+        for xrow in xs:
+            row = []
+            for q in range(len(ys[0]) if ys else 0):
+                acc = [0] * n
+                for xe, yrow in zip(xrow, ys):
+                    if xe and yrow[q]:
+                        _add_product(terms, acc, xe, yrow[q])
+                row.append(_over(acc, den))
+            out.append(tuple(row))
+        return tuple(out)
 
     def power(self, x: Sequence, n: int) -> Vec:
         if n < 0:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -39,8 +38,7 @@ from .linalg import rat_from_str, rat_to_str
 from .modules import refine_to_idempotent
 from .structure import jacobson_radical, wedderburn_decomposition
 
-MAX_PARTITION_RANK_ENV = "QALG_MAX_PARTITION_RANK"
-DEFAULT_MAX_PARTITION_RANK = 30
+MAX_PARTITION_RANK = 30
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -327,20 +325,8 @@ def cmd_ed_nil_dim(args) -> tuple[dict, list[str]]:
 
 
 def cmd_ed_partitions(args) -> tuple[dict, list[str]]:
-    cap_text = os.environ.get(MAX_PARTITION_RANK_ENV)
-    cap = DEFAULT_MAX_PARTITION_RANK
-    if cap_text is not None:
-        try:
-            cap = int(cap_text)
-        except ValueError as exc:
-            raise input_error(
-                f"{MAX_PARTITION_RANK_ENV} must be an integer, got {cap_text!r}"
-            ) from exc
-    if args.rank > cap:
-        raise input_error(
-            f"rank {args.rank} exceeds the partition enumeration cap {cap}"
-            f" (raise {MAX_PARTITION_RANK_ENV} to override)"
-        )
+    if args.rank > MAX_PARTITION_RANK:
+        raise input_error(f"rank {args.rank} exceeds the partition enumeration cap {MAX_PARTITION_RANK}")
     check = partition_square_sum_check(args.rank)
     payload = {
         "rank": check.rank,

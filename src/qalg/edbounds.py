@@ -431,16 +431,16 @@ def bundle_moduli_ed(g: int, r: int, d: int, assume_ckm: bool = False) -> EdBoun
             value=Fraction(r), kind="exact", formula="bundle-moduli-genus-1"
         )
     h = r if d == 0 else gcd(r, abs(d))
-    total = (g - 1) * r * r + 1 + sum(p ** vp(p, h) - 1 for p in prime_factors(h))
+    total = (g - 1) * r * r + 1 + ckm_value(h).value
     if assume_ckm:
         return EdBoundReport(
-            value=Fraction(total),
+            value=total,
             kind="exact",
             formula="bundle-moduli-genus-formula",
             assumptions=("assumes the conjectural prime-decomposition value for division algebras",),
         )
     return EdBoundReport(
-        value=Fraction(total),
+        value=total,
         kind="upper",
         formula="bundle-moduli-genus-formula",
     )

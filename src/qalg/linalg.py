@@ -22,8 +22,9 @@ Rat = Fraction
 
 
 def rat_to_str(q: Fraction) -> str:
-    """Render a rational as 'a/b', omitting '/b' when the denominator is 1."""
-    q = Fraction(q)
+    """Render a rational as 'a/b', omitting '/b' when the denominator is 1.
+    A float raises TypeError."""
+    q = rat(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

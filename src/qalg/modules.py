@@ -6,11 +6,12 @@ needed. There is one refinement loop, over square matrices with entries in the
 algebra A held as nested rows of coordinate vectors; an element is refined as
 the 1 x 1 matrix ((p,),).
 
-Matrices are multiplied block by block with A.multiply, which builds no
-structure tensor for the matrix algebra. matrix_over(A, k).multiply is faster
-per product, but its tables cost time and memory up front: on a 2-core x86 VM,
-the 32 tables for the eight algebras of the modules-lift benchmark at sizes
-1-4 took 0.55 s to build and held 17 MB, about that workload's whole peak RSS.
+Matrices are multiplied by A._matrix_product, which shares its integer inner
+loop with A.multiply and builds no structure table for the matrix algebra.
+matrix_over(A, k) is not used for the products, because its tables cost time
+and memory up front: on a 2-core x86 VM, the 32 tables for the eight algebras
+of the modules-lift benchmark at sizes 1-4 took 0.55 s to build and held
+17 MB, about that workload's whole peak RSS.
 
 A projective right module is presented by an idempotent matrix P over
 the algebra; its image in each simple factor of the semisimple quotient has a
@@ -32,7 +33,7 @@ from typing import Sequence
 
 from .algebra import FDAlgebra, QuotientPresentation, Vec
 from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, UnknownIndexError
-from .linalg import rat_to_str, rat_vector_from_json
+from .linalg import rat, rat_to_str, rat_vector_from_json
 from .structure import (
     WedderburnReport,
     _ideal_nilpotency_index,
@@ -41,24 +42,6 @@ from .structure import (
 )
 
 AMatEntries = tuple[tuple[Vec, ...], ...]
-
-
-def _matrix_product(a: FDAlgebra, x: AMatEntries, y: AMatEntries) -> AMatEntries:
-    """Product of two square matrices over a, computed block by block with
-    a.multiply; equal to matrix_over(a, size).multiply on the flattened
-    entries."""
-    size, d = len(x), a.dim
-    out = []
-    for p in range(size):
-        row = []
-        for q in range(size):
-            acc = [Fraction(0)] * d
-            for r in range(size):
-                for t, c in enumerate(a.multiply(x[p][r], y[r][q])):
-                    acc[t] += c
-            row.append(tuple(acc))
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def _refine(qp: QuotientPresentation, p: AMatEntries) -> tuple[AMatEntries, int]:
@@ -70,14 +53,14 @@ def _refine(qp: QuotientPresentation, p: AMatEntries) -> tuple[AMatEntries, int]
     bound = (_ideal_nilpotency_index(a, qp.ideal) - 1).bit_length()
     start, steps = p, 0
     while True:
-        sq = _matrix_product(a, p, p)
+        sq = a._matrix_product(p, p)
         if sq == p:
             break
         if steps >= bound:
             raise InternalError("idempotent refinement exceeded its guaranteed bound")
         p = tuple(
             tuple(tuple(3 * b - 2 * c for b, c in zip(s, t)) for s, t in zip(srow, trow))
-            for srow, trow in zip(sq, _matrix_product(a, sq, p))
+            for srow, trow in zip(sq, a._matrix_product(sq, p))
         )
         steps += 1
     # Without a pass p is start itself, so only a refined p is compared.
@@ -99,7 +82,7 @@ class IdempotentMatrix:
         if any(len(row) != size for row in entries):
             raise ValueError("algebra-valued matrix must be square")
         ents = tuple(tuple(algebra.element(entry) for entry in row) for row in entries)
-        if _matrix_product(algebra, ents, ents) != ents:
+        if algebra._matrix_product(ents, ents) != ents:
             raise NotIdempotentError("matrix is not idempotent over the algebra")
         self._fill(algebra, ents)
 
@@ -241,8 +224,8 @@ def modules_isomorphic(m1: ProjectiveModuleDescriptor, m2: ProjectiveModuleDescr
 def rank_realizable(w: WedderburnReport, r: Fraction) -> bool:
     """Whether rank r is realized by a module over the algebra: n_i * r must
     be an integer for every factor's matrix size n_i. Raises UnknownIndexError
-    when some factor's matrix size is uncertified."""
-    r = Fraction(r)
+    when some factor's matrix size is uncertified, and TypeError for a float."""
+    r = rat(r)
     for i, factor in enumerate(w.factors):
         if factor.matrix_size is None:
             raise UnknownIndexError(

@@ -82,8 +82,10 @@ class WedderburnReport:
 
 
 def _subspace_product(a: FDAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    products = [a.multiply(x, y) for x in u.vectors() for y in v.vectors()]
-    return Subspace(a.dim, products)
+    """The span of x * y over the basis vectors x of u and y of v: one
+    product of the column of u's vectors by the row of v's."""
+    products = a._matrix_product(tuple((x,) for x in u.vectors()), (v.vectors(),))
+    return Subspace(a.dim, [xy for row in products for xy in row])
 
 
 @_memoized

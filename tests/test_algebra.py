@@ -544,6 +544,93 @@ class TestMultiplication:
         assert not m.is_idempotent(m.basis_element(1))
 
 
+def draw_matrix(rng, a, rows, cols, dens=(1, 2)):
+    """A rows x cols matrix over a with seeded entries n/d, d from dens."""
+    return tuple(
+        tuple(
+            tuple(Fraction(rng.randint(-3, 3), rng.choice(dens)) for _ in range(a.dim))
+            for _ in range(cols)
+        )
+        for _ in range(rows)
+    )
+
+
+class TestMatrixProduct:
+    """FDAlgebra._matrix_product, the product of matrices with entries in
+    the algebra."""
+
+    @pytest.mark.parametrize(
+        "base", [dual_numbers(), upper_triangular(2)], ids=["dual_numbers", "upper_triangular_2"]
+    )
+    def test_square_product_matches_matrix_over(self, base):
+        # matrix_over orders its coordinates like the basis E_pq tensor b_t:
+        # by (p, q, t).
+        rng = random.Random(11)
+
+        def flat(m):
+            return tuple(c for row in m for entry in row for c in entry)
+
+        for size in (1, 2, 3):
+            oracle = matrix_over(base, size)
+            for _ in range(10):
+                x, y = draw_matrix(rng, base, size, size), draw_matrix(rng, base, size, size)
+                assert flat(base._matrix_product(x, y)) == oracle.multiply(flat(x), flat(y))
+
+    def test_column_times_row_is_the_pairwise_products(self):
+        rng = random.Random(12)
+        a = quaternions(Fraction(1, 2), -3)
+        for k, m in [(1, 1), (3, 1), (1, 4), (3, 2)]:
+            x, y = draw_matrix(rng, a, k, 1), draw_matrix(rng, a, 1, m)
+            expected = tuple(tuple(a.multiply(xi, yj) for yj in y[0]) for (xi,) in x)
+            assert a._matrix_product(x, y) == expected
+
+    def test_rectangular_product_with_mixed_denominators(self):
+        # Entries of each operand have denominators 1, 3, 5 and 7, and the
+        # table has denominator 6; the dense reference sums over the inner index.
+        rng = random.Random(13)
+        a = quaternions(Fraction(1, 2), Fraction(-2, 3))
+        s = [[list(v) for v in row] for row in a.structure]
+        dens = (1, 3, 5, 7)
+        x, y = draw_matrix(rng, a, 2, 3, dens), draw_matrix(rng, a, 3, 4, dens)
+        assert len({c.denominator for row in x for v in row for c in v}) > 2
+        expected = tuple(
+            tuple(
+                tuple(map(sum, zip(*(reference_multiply(s, x[p][r], y[r][q]) for r in range(3)))))
+                for q in range(4)
+            )
+            for p in range(2)
+        )
+        assert a._matrix_product(x, y) == expected
+
+    def test_zero_matrices_and_zero_entries(self):
+        rng = random.Random(14)
+        a = quaternions(-1, -1)
+        x = draw_matrix(rng, a, 2, 3)
+        zero = a.zero()
+        assert a._matrix_product(x, ((zero,) * 2,) * 3) == ((zero,) * 2,) * 2
+        assert a._matrix_product(((zero,) * 2,) * 3, x) == ((zero,) * 3,) * 3
+        # diag(u, 0, v) * y scales the first row by u and the last by v
+        u, v = a.basis_element(1), a.basis_element(3)
+        y = draw_matrix(rng, a, 3, 2)
+        diagonal = ((u, zero, zero), (zero, zero, zero), (zero, zero, v))
+        expected = (
+            tuple(a.multiply(u, e) for e in y[0]),
+            (zero, zero),
+            tuple(a.multiply(v, e) for e in y[2]),
+        )
+        assert a._matrix_product(diagonal, y) == expected
+
+    def test_empty_shapes(self):
+        # The column count is read from y's first row, so a product with an
+        # empty inner dimension has no columns.
+        a = dual_numbers()
+        one = a.unit
+        assert a._matrix_product((), ()) == ()
+        assert a._matrix_product((), ((one, one),)) == ()
+        assert a._matrix_product(((one,),), ((),)) == ((),)
+        assert a._matrix_product(((), ()), ()) == ((), ())
+
+
 class TestRegularRepresentation:
     def test_unit_maps_to_identity(self):
         for a in [dual_numbers(), matrix_algebra(2)]:

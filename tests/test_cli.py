@@ -570,21 +570,10 @@ class TestEdPartitions:
     def test_default_cap(self, capsys):
         code, _, err = run(capsys, "ed", "partitions", "--rank", "31")
         assert code == 2
-        assert "QALG_MAX_PARTITION_RANK" in err
-
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("QALG_MAX_PARTITION_RANK", "10")
-        code, _, err = run(capsys, "ed", "partitions", "--rank", "11")
-        assert code == 2
-        code, out, _ = run(capsys, "ed", "partitions", "--rank", "10", "--json")
+        assert "rank 31 exceeds the partition enumeration cap 30" in err
+        code, out, _ = run(capsys, "ed", "partitions", "--rank", "30", "--json")
         assert code == 0
-        assert json.loads(out)["payload"]["witness"] == [9, 1]
-
-    def test_env_cap_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("QALG_MAX_PARTITION_RANK", "lots")
-        code, _, err = run(capsys, "ed", "partitions", "--rank", "5")
-        assert code == 2
-        assert "must be an integer" in err
+        assert json.loads(out)["payload"]["rank"] == 30
 
     def test_rank_below_two(self, capsys):
         code, _, _ = run(capsys, "ed", "partitions", "--rank", "1")

@@ -89,6 +89,12 @@ class TestRationals:
         assert rat_to_str(Fraction(-3, 6)) == "-1/2"
         assert rat_to_str(Fraction(0)) == "0"
 
+    def test_rat_to_str_rejects_floats(self):
+        # 0.1 would render as 3602879701896397/36028797018963968
+        with pytest.raises(TypeError, match="floats are not exact"):
+            rat_to_str(0.1)
+        assert rat_to_str(3) == "3"
+
     def test_rat_str_round_trip(self):
         rng = random.Random(0)
         for _ in range(50):

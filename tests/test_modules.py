@@ -35,7 +35,6 @@ from qalg.errors import (
 )
 from qalg.modules import (
     IdempotentMatrix,
-    _matrix_product,
     lift_idempotent,
     lift_idempotent_matrix,
     lift_idempotent_with_count,
@@ -92,8 +91,8 @@ def sheared_presentations(a, seed):
     for e in idempotents:
         p = IdempotentMatrix.diagonal(a, [e, one])
         for s, s_inv in shears:
-            assert _matrix_product(a, s, s_inv) == identity
-            conj = _matrix_product(a, _matrix_product(a, s, p.entries), s_inv)
+            assert a._matrix_product(s, s_inv) == identity
+            conj = a._matrix_product(a._matrix_product(s, p.entries), s_inv)
             out.append((p, IdempotentMatrix(a, conj)))
     return out
 
@@ -184,30 +183,31 @@ class TestRefineToIdempotent:
         qp = radical_quotient(a)
         p0 = tuple(x + y for x, y in zip(a.basis_element(0), a.basis_element(1)))
         calls = []
+        product = FDAlgebra._matrix_product
 
-        def counted(*args):
-            calls.append(args)
-            return _matrix_product(*args)
+        def counted(self, x, y):
+            calls.append((x, y))
+            return product(self, x, y)
 
-        monkeypatch.setattr(qalg.modules, "_matrix_product", counted)
+        monkeypatch.setattr(FDAlgebra, "_matrix_product", counted)
         assert refine_to_idempotent(qp, p0) == (a.basis_element(0), 1)
         assert len(calls) == 3
-        assert all(len(x) == 1 and len(x[0]) == 1 for _, x, _ in calls)
+        assert all(len(x) == 1 and len(x[0]) == 1 for x, _ in calls)
 
 
 class TestClassCheckSurvivesOptimize:
     def test_refine_class_check_raises_under_python_o(self):
-        # _matrix_product patched to return zero matrices: the loop refines
-        # the unit to 0, which is idempotent but not in the class of the unit
-        # modulo the radical of the dual numbers
+        # FDAlgebra._matrix_product patched to return zero matrices: the loop
+        # refines the unit to 0, which is idempotent but not in the class of
+        # the unit modulo the radical of the dual numbers
         program = (
             "import qalg.modules\n"
-            "from qalg.algebra import Subspace, dual_numbers, quotient_by_ideal\n"
+            "from qalg.algebra import FDAlgebra, Subspace, dual_numbers, quotient_by_ideal\n"
             "from qalg.errors import InternalError\n"
             "a = dual_numbers()\n"
             "qp = quotient_by_ideal(a, Subspace(2, [[0, 1]]))\n"
-            "qalg.modules._matrix_product = lambda a, x, y: tuple(\n"
-            "    tuple(a.zero() for _ in row) for row in x)\n"
+            "FDAlgebra._matrix_product = lambda self, x, y: tuple(\n"
+            "    tuple(self.zero() for _ in y[0]) for _ in x)\n"
             "try:\n"
             "    qalg.modules.refine_to_idempotent(qp, a.unit)\n"
             "except InternalError as exc:\n"
@@ -330,44 +330,17 @@ class TestLiftIdempotentMatrix:
         one, zero = qp.quotient.unit, qp.quotient.zero()
         q = IdempotentMatrix(qp.quotient, [[one, zero], [zero, one]])
         calls = []
+        product = FDAlgebra._matrix_product
 
-        def counted(*args):
-            calls.append(args)
-            return _matrix_product(*args)
+        def counted(self, x, y):
+            calls.append((x, y))
+            return product(self, x, y)
 
-        monkeypatch.setattr(qalg.modules, "_matrix_product", counted)
+        monkeypatch.setattr(FDAlgebra, "_matrix_product", counted)
         lifted = lift_idempotent_matrix(q, qp)
         assert len(calls) == 3
         monkeypatch.undo()
         assert IdempotentMatrix(a, lifted.entries) == lifted
-
-
-class TestMatrixProduct:
-    @pytest.mark.parametrize(
-        "base", [dual_numbers(), upper_triangular(2)], ids=["dual_numbers", "upper_triangular_2"]
-    )
-    def test_block_product_matches_matrix_over(self, base):
-        # matrix_over orders its coordinates like the basis E_pq tensor b_t:
-        # by (p, q, t).
-        rng = random.Random(11)
-
-        def draw(size):
-            return tuple(
-                tuple(
-                    tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(base.dim))
-                    for _ in range(size)
-                )
-                for _ in range(size)
-            )
-
-        def flat(m):
-            return tuple(c for row in m for entry in row for c in entry)
-
-        for size in (1, 2, 3):
-            oracle = matrix_over(base, size)
-            for _ in range(10):
-                x, y = draw(size), draw(size)
-                assert flat(_matrix_product(base, x, y)) == oracle.multiply(flat(x), flat(y))
 
 
 class TestIdempotentMatrixType:
@@ -536,6 +509,13 @@ class TestRankRealizable:
             rank_realizable(w, Fraction(1, 2))
         with pytest.raises(UnknownIndexError):
             rank_realizable(w, Fraction(1))
+
+    def test_float_rank_rejected(self):
+        # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
+        w = wedderburn_decomposition(matrix_algebra(2))
+        with pytest.raises(TypeError, match="floats are not exact"):
+            rank_realizable(w, 0.1)
+        assert rank_realizable(w, "1/2")
 
 
 def corner(a, p):
