@@ -33,9 +33,12 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    _ZERO,
     Mat,
     _echelon,
+    _over,
     _reduce,
+    _scaled,
     _vector_from_json,
     as_vector,
     kernel_basis,
@@ -47,13 +50,6 @@ from .linalg import (
 
 Vec = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)
-
-
-def _scaled(v: Sequence, d: int) -> list[tuple[int, int]]:
-    """The pairs (i, v_i * d) for the nonzero v_i; d is a multiple of v's denominators."""
-    return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(v) if c]
-
 
 def _add_product(terms, out: list[int], xs, ys) -> None:
     """Add the numerators of x * y into out, for x and y as their nonzero
@@ -64,11 +60,6 @@ def _add_product(terms, out: list[int], xs, ys) -> None:
             c = xi * yj
             for k, s in row[j]:
                 out[k] += c * s
-
-
-def _over(numerators: Sequence[int], den: int) -> Vec:
-    """The Fractions n / den for integer numerators n."""
-    return tuple(Fraction(c, den) if c else _ZERO for c in numerators)
 
 
 def _memoized(fn):
@@ -91,7 +82,7 @@ def _memoized(fn):
 class Subspace:
     """Subspace of Q^n with a canonical reduced-row-echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "basis", "pivots", "_hash")
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence] | Mat):
         if ambient_dim < 0:
@@ -100,6 +91,7 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", Mat(rows) if rows else Mat.zeros(0, ambient_dim))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -131,7 +123,11 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        h = self._hash
+        if h is None:
+            h = hash((self.ambient_dim, self.basis))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -150,7 +146,7 @@ class FDAlgebra:
     on each access.
     """
 
-    __slots__ = ("dim", "unit", "_den", "_terms", "_hash", "_memo")
+    __slots__ = ("dim", "unit", "_den", "_terms", "_hash", "_memo", "__weakref__")
 
     def __init__(self, structure: Sequence[Sequence[Sequence]], unit: Sequence):
         dim = len(structure)

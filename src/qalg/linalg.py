@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InternalError, NoSolutionError
@@ -19,6 +20,18 @@ from .poly import Poly, rat
 # Rational scalar type used across the package. Fraction already guarantees
 # lowest terms and a positive denominator.
 Rat = Fraction
+
+_ZERO = Fraction(0)
+
+
+def _scaled(v: Sequence, d: int) -> list[tuple[int, int]]:
+    """The pairs (i, v_i * d) for the nonzero v_i; d is a multiple of v's denominators."""
+    return [(i, c.numerator * (d // c.denominator)) for i, c in enumerate(v) if c]
+
+
+def _over(numerators: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """The Fractions n / den for integer numerators n."""
+    return tuple(Fraction(c, den) if c else _ZERO for c in numerators)
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -71,9 +84,10 @@ def as_vector(values: Iterable, length: int | None = None) -> tuple[Fraction, ..
 
 
 class Mat:
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense matrix over Fraction. _ints caches the rows as integer
+    numerators for apply; it is filled on first use."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_ints")
 
     def __init__(self, data: Sequence[Sequence]):
         rows = tuple(tuple(x if type(x) is Fraction else rat(x) for x in row) for row in data)
@@ -86,6 +100,7 @@ class Mat:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", width)
         object.__setattr__(self, "data", rows)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -134,10 +149,20 @@ class Mat:
         return (self.rows, self.cols)
 
     def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        """Matrix times column vector, returned as a flat tuple. Zero
-        entries of v and of each row are skipped."""
-        vs = [(j, x) for j, x in enumerate(as_vector(v, self.cols)) if x]
-        return tuple(sum((a * x for j, x in vs if (a := r[j])), Fraction(0)) for r in self.data)
+        """Matrix times column vector, returned as a flat tuple, summed in
+        ints. The rows are read once, on the first call, as their nonzero
+        integer numerators over one denominator, and kept: the matrix is
+        immutable. Each call scales v to integers over its own denominator."""
+        v = as_vector(v, self.cols)
+        ints = self._ints
+        if ints is None:
+            den = lcm(*{c.denominator for r in self.data for c in r})
+            ints = (den, tuple(_scaled(r, den) for r in self.data))
+            object.__setattr__(self, "_ints", ints)
+        den, rows = ints
+        vd = lcm(*{c.denominator for c in v})
+        w = [c.numerator * (vd // c.denominator) for c in v]
+        return _over([sum(n * w[j] for j, n in row) for row in rows], den * vd)
 
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:

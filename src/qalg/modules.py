@@ -22,18 +22,24 @@ Ranks are traces of idempotents (the Hattori-Stallings rank). With P' the
 presentation projected to the semisimple quotient s and e the central
 idempotent of a factor F = e*s, X -> e*P'*X is an idempotent linear map on
 s^size with image P' * F^size, so that image has dimension equal to the map's
-trace, sum_u tr(L_{e * P'_uu}); dividing by dim F gives the rank.
+trace, sum_u tr(L_{e * P'_uu}); dividing by dim F gives the rank. That trace
+is linear in the diagonal of P, so it is read by one functional per factor on
+the algebra's own coordinates, psi(x) = tr_s(L_{e * pi(x)}) with pi the
+projection to s: the rank is psi(sum_u P_uu) / dim F. The functionals are
+built once per algebra, as integer numerators over one denominator, and
+memoized on it; a rank then needs no product and no projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from .algebra import FDAlgebra, QuotientPresentation, Vec
+from .algebra import FDAlgebra, QuotientPresentation, Vec, _memoized
 from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, UnknownIndexError
-from .linalg import rat, rat_to_str, rat_vector_from_json
+from .linalg import _scaled, rat, rat_to_str, rat_vector_from_json
 from .structure import (
     WedderburnReport,
     _ideal_nilpotency_index,
@@ -179,21 +185,41 @@ def lift_idempotent_matrix(q: IdempotentMatrix, qp: QuotientPresentation) -> Ide
     return IdempotentMatrix.__new__(IdempotentMatrix)._fill(qp.algebra, lifted)
 
 
-def projective_module(presentation: IdempotentMatrix) -> ProjectiveModuleDescriptor:
-    """Rank data of the projective module presented by an idempotent matrix."""
-    a = presentation.algebra
-    qp = jacobson_radical(a).quotient
+@_memoized
+def _rank_functionals(a: FDAlgebra) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """For each Wedderburn factor F = e*s of the semisimple quotient s of a,
+    the functional psi(x) = tr_s(L_{e * pi(x)}) on a's coordinates, with pi
+    the projection to s, as (den, pairs (j, psi(b_j) * den) for the nonzero
+    psi(b_j)) over a's basis b_j. Only ints are kept in the memo."""
+    projection = jacobson_radical(a).quotient.projection
     w = wedderburn_decomposition(a)
     s = w.semisimple_quotient
     traces = s._traces()
-    size = presentation.size
-    diagonal = [qp.project(presentation.entries[u][u]) for u in range(size)]
-    ranks = []
+    out = []
     for factor in w.factors:
         e = factor.central_idempotent
-        image_dim = sum(
-            (c * t for d in diagonal for c, t in zip(s.multiply(e, d), traces)), Fraction(0)
-        )
+        # tr_s(L_{e * c_k}) for each basis element c_k of s
+        t = [sum(x * y for x, y in zip(s.multiply(e, s.basis_element(k)), traces)) for k in range(s.dim)]
+        psi = [sum(x * y for x, y in zip(t, column)) for column in zip(*projection.data)]
+        den = lcm(*{c.denominator for c in psi})
+        out.append((den, tuple(_scaled(psi, den))))
+    return tuple(out)
+
+
+def projective_module(presentation: IdempotentMatrix) -> ProjectiveModuleDescriptor:
+    """Rank data of the projective module presented by an idempotent matrix."""
+    a = presentation.algebra
+    size = presentation.size
+    diagonal = [presentation.entries[u][u] for u in range(size)]
+    d = lcm(*{c.denominator for x in diagonal for c in x})
+    # sum_u P_uu as integer numerators over d
+    total = [0] * a.dim
+    for x in diagonal:
+        for j, c in _scaled(x, d):
+            total[j] += c
+    ranks = []
+    for factor, (den, psi) in zip(wedderburn_decomposition(a).factors, _rank_functionals(a)):
+        image_dim = Fraction(sum(c * total[j] for j, c in psi), den * d)
         if image_dim.denominator != 1 or not 0 <= image_dim <= size * factor.factor_dim:
             raise InternalError("trace of an idempotent is not the dimension of its image")
         ranks.append(image_dim / factor.factor_dim)

@@ -21,8 +21,12 @@ multiplication matrix is built.
 A semisimple algebra's zero radical has the algebra itself as its quotient,
 not a copy. Radical, Wedderburn and central idempotent results, and the
 nilpotency index of each ideal (keyed by the ideal), are memoized on the
-algebra object, so they are released with it and an equal but distinct
-algebra computes its own.
+algebra object, so an equal but distinct algebra computes its own. The memo
+refers back to its algebra: a radical report's quotient presentation holds
+the algebra, and a semisimple algebra is its own quotient. The algebra and
+its memo are therefore a reference cycle, which Python's cyclic garbage
+collector frees once no outside reference is left; reference counting alone
+does not free them when the last outside reference goes.
 """
 
 from __future__ import annotations

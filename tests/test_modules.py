@@ -50,7 +50,7 @@ from qalg.structure import (
     wedderburn_decomposition,
 )
 
-from oracles import hom_dim_oracle
+from oracles import hom_dim_oracle, reference_matrix_product, reference_regular_matrix
 
 
 def rationals():
@@ -379,6 +379,13 @@ class TestIdempotentMatrixType:
             IdempotentMatrix.from_json_lists(m, bad)
 
 
+def left_of_projected(qp, s, x):
+    """The dense matrix of left multiplication by x's image in the quotient
+    with structure constants s, from reference products alone."""
+    projected = [c for (c,) in reference_matrix_product(qp.projection.data, [[c] for c in x])]
+    return reference_regular_matrix(s, projected, "left")
+
+
 class TestRankVector:
     def test_free_module_has_rank_one_everywhere(self):
         for a in [matrix_algebra(2), upper_triangular(3), quaternions(-1, -1)]:
@@ -451,6 +458,53 @@ class TestRankVector:
                 m = projective_module(conj)
                 expected = sum(r * d for r, d in zip(m.rank_vector, dims))
                 assert hom_dim_oracle(free, m) == expected, f.name
+
+    def test_ranks_equal_traces_over_the_semisimple_quotient(self):
+        # The old formula, sum_u tr(L_{e * P'_uu}) / dim F with P' the
+        # projected presentation, from dense reference matrices alone:
+        # tr(L_e L_y) = tr(L_{e * y}).
+        cases = 0
+        for f in fixtures():
+            a = f.build()
+            qp = radical_quotient(a)
+            s = qp.quotient.structure
+            factors = wedderburn_decomposition(a).factors
+            presentations = [IdempotentMatrix(a, [[a.unit]])]
+            presentations += [m for pair in sheared_presentations(a, 4) for m in pair]
+            for p in presentations:
+                diagonal = [left_of_projected(qp, s, p.entries[u][u]) for u in range(p.size)]
+                expected = []
+                for factor in factors:
+                    left_e = reference_regular_matrix(s, factor.central_idempotent, "left")
+                    image_dim = Fraction(0)
+                    for left_x in diagonal:
+                        left = reference_matrix_product(left_e, left_x)
+                        image_dim += sum(left[k][k] for k in range(len(left)))
+                    expected.append(image_dim / factor.factor_dim)
+                assert rank_vector(p) == tuple(expected), f.name
+                cases += 1
+        assert cases >= 150
+
+    def test_rank_functionals_memo_holds_only_ints(self):
+        a = upper_triangular(4)
+        projective_module(IdempotentMatrix(a, [[a.unit]]))
+
+        def ints_only(x):
+            return type(x) is int or type(x) is tuple and all(ints_only(y) for y in x)
+
+        memo = [v for key, v in a._memo.items() if key == ("_rank_functionals",)]
+        assert len(memo) == 1 and ints_only(memo[0])
+
+    def test_trace_check_catches_a_tampered_presentation(self):
+        # __new__()._fill skips the idempotency check, so these entries reach
+        # the rank computation: a trace of 12 exceeds size * dim F = 4, and a
+        # trace of 4/3 is not an integer.
+        m = matrix_algebra(2)
+        for c in (3, Fraction(1, 3)):
+            entry = tuple(c * x for x in m.unit)
+            tampered = IdempotentMatrix.__new__(IdempotentMatrix)._fill(m, ((entry,),))
+            with pytest.raises(InternalError, match="trace of an idempotent"):
+                projective_module(tampered)
 
     def test_empty_presentation_has_fraction_zero_ranks(self):
         u = upper_triangular(3)

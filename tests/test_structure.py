@@ -32,6 +32,7 @@ from qalg.algebra import (
 from qalg.corpus import cyclic_table, fixtures, symmetric3_table
 from qalg.errors import InternalError, NotNilpotentError, NotSemisimpleError, NotSimpleError
 from qalg.linalg import minimal_polynomial
+from qalg.modules import IdempotentMatrix, projective_module
 from qalg.poly import Poly
 from qalg.structure import (
     _ideal_nilpotency_index,
@@ -535,6 +536,28 @@ class TestMemo:
         del a
         gc.collect()
         assert report() is None
+
+    def test_algebra_and_its_memo_are_freed_by_the_cyclic_collector(self):
+        # The memo refers back to the algebra (the radical report's quotient
+        # presentation holds it), so with the collector paused the algebra
+        # outlives its last outside reference; one collection frees it, so no
+        # global keeps it alive.
+        a = upper_triangular(4)
+        report = jacobson_radical(a)
+        wedderburn_decomposition(a)
+        _ideal_nilpotency_index(a, report.radical)
+        projective_module(IdempotentMatrix(a, [[a.unit]]))
+        ref = weakref.ref(a)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del a, report
+            assert ref() is not None
+        finally:
+            if enabled:
+                gc.enable()
+        gc.collect()
+        assert ref() is None
 
     def test_nilpotency_index_memo_is_keyed_by_the_ideal(self):
         a = upper_triangular(3)
