@@ -5,9 +5,13 @@ coordinate vector of the basis product e_i * e_j. It stores them once, as the
 nonzero integer numerators over one common denominator, and computes products,
 associativity checks, the center and the trace form in Python ints;
 ``structure`` is derived from that table on demand. Products of elements and
-of matrices over the algebra (_matrix_product, for modules and structure)
-share one inner integer loop. This module is the only one that reads the
-table. One method, FDAlgebra._fill, writes it: the public
+of matrices over the algebra (_matrix_product) share one inner integer loop.
+Every table of products x * y (a quotient and its ideal check, subalgebras,
+factor spans, corners, subspace products, rank functionals) is one
+_pairwise_products call, that is one _matrix_product call; multiply serves
+single products, powers and the idempotency and unit-law checks. Mat
+products go through the integer rows of Mat.apply. This module is the only
+one that reads the table. One method, FDAlgebra._fill, writes it: the public
 constructor hands it the nonzero entries of a dense table, the built-in
 constructors only their nonzero products, and tensor_product is the one
 writer of tensor-shaped tables (matrix_over is a tensor product).
@@ -270,6 +274,11 @@ class FDAlgebra:
             out.append(tuple(row))
         return tuple(out)
 
+    def _pairwise_products(self, xs: Sequence[Vec], ys: Sequence[Vec]) -> tuple[tuple[Vec, ...], ...]:
+        """The products x * y, one row per x in xs and one column per y in
+        ys: the column of xs times the row of ys, as one _matrix_product."""
+        return self._matrix_product(tuple((x,) for x in xs), (tuple(ys),))
+
     def power(self, x: Sequence, n: int) -> Vec:
         if n < 0:
             raise ValueError("negative powers are not defined")
@@ -408,15 +417,10 @@ def subalgebra_on(a: FDAlgebra, sub: Subspace, unit_vec: Sequence) -> FDAlgebra:
     except ValueError:
         raise ValueError("designated unit lies outside the subspace") from None
     rows = sub.vectors()
-    structure = []
-    for bi in rows:
-        row = []
-        for bj in rows:
-            try:
-                row.append(sub.coordinates(a.multiply(bi, bj)))
-            except ValueError:
-                raise ValueError("subspace is not closed under multiplication") from None
-        structure.append(row)
+    try:
+        structure = [[sub.coordinates(x) for x in row] for row in a._pairwise_products(rows, rows)]
+    except ValueError:
+        raise ValueError("subspace is not closed under multiplication") from None
     return FDAlgebra(structure, unit)
 
 
@@ -452,11 +456,6 @@ def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
     """
     if n.ambient_dim != a.dim:
         raise AlgebraMismatchError("ideal does not live in the algebra")
-    for u in n.vectors():
-        for i in range(a.dim):
-            e = a.basis_element(i)
-            if not n.contains(a.multiply(e, u)) or not n.contains(a.multiply(u, e)):
-                raise NotAnIdealError("subspace is not a two-sided ideal")
     if n.dim == a.dim:
         raise ValueError("ideal is the whole algebra; quotient would have dimension 0")
 
@@ -474,15 +473,16 @@ def quotient_by_ideal(a: FDAlgebra, n: Subspace) -> QuotientPresentation:
     if qdim != a.dim - n.dim:
         raise InternalError("quotient dimension is not the codimension of the ideal")
 
-    comp_rows = [a.basis_element(i) for i in complement]
-    section = Mat(comp_rows).transpose()
+    # n is a two-sided ideal exactly when the projection, whose kernel is n,
+    # sends every e_i * u and u * e_i to zero; zero products are skipped.
+    basis = [a.basis_element(i) for i in range(a.dim)]
+    for table in (a._pairwise_products(basis, n.vectors()), a._pairwise_products(n.vectors(), basis)):
+        if any(any(projection.apply(x)) for row in table for x in row if any(x)):
+            raise NotAnIdealError("subspace is not a two-sided ideal")
 
-    structure = []
-    for ci in comp_rows:
-        row = []
-        for cj in comp_rows:
-            row.append(projection.apply(a.multiply(ci, cj)))
-        structure.append(row)
+    comp_rows = [basis[i] for i in complement]
+    section = Mat(comp_rows).transpose()
+    structure = [[projection.apply(x) for x in row] for row in a._pairwise_products(comp_rows, comp_rows)]
     quotient = FDAlgebra(structure, projection.apply(a.unit))
     qp = QuotientPresentation(
         algebra=a, ideal=n, quotient=quotient, projection=projection, section=section

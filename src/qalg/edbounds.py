@@ -173,6 +173,12 @@ def bound_matrix_over_simple(n: int, dim_b: int, r: Fraction) -> EdBoundReport:
     )
 
 
+def _division_sum(deg: int, d: int, primes: Sequence[int]) -> int:
+    """sum over the primes p | deg of p^(2*vp(deg/d)) * (p^vp(d) - 1), for
+    d | deg. The primes are given, so karpenko_value need not factor p^n."""
+    return sum(p ** (2 * vp(p, deg // d)) * (p ** vp(p, d) - 1) for p in primes)
+
+
 def bound_division(deg_d: int, d: int) -> EdBoundReport:
     """Upper bound for rank-1/d modules over a division algebra of degree
     deg_d: sum over primes p | deg_d of p^(2*vp(deg_d/d)) * (p^vp(d) - 1)."""
@@ -182,11 +188,8 @@ def bound_division(deg_d: int, d: int) -> EdBoundReport:
         raise ValueError("denominator must be positive")
     if deg_d % d != 0:
         raise NotDivisorError(f"{d} does not divide the degree {deg_d}")
-    total = 0
-    for p in prime_factors(deg_d):
-        total += p ** (2 * vp(p, deg_d // d)) * (p ** vp(p, d) - 1)
     return EdBoundReport(
-        value=Fraction(total),
+        value=Fraction(_division_sum(deg_d, d, prime_factors(deg_d))),
         kind="upper",
         formula="division-padic-sum",
     )
@@ -202,7 +205,7 @@ def karpenko_value(p: int, n: int, m: int) -> EdBoundReport:
     if m < 1 or m > n:
         raise ValueError("denominator exponent must satisfy 1 <= m <= n")
     return EdBoundReport(
-        value=Fraction(p ** (2 * (n - m)) * (p**m - 1)),
+        value=Fraction(_division_sum(p**n, p**m, (p,))),
         kind="exact",
         formula="karpenko-prime-power-value",
         assumptions=(
@@ -217,9 +220,8 @@ def ckm_value(deg_d: int) -> EdBoundReport:
     rank-1/deg_d modules over a division algebra of degree deg_d."""
     if deg_d < 1:
         raise ValueError("division algebra degree must be positive")
-    total = sum(p ** vp(p, deg_d) - 1 for p in prime_factors(deg_d))
     return EdBoundReport(
-        value=Fraction(total),
+        value=Fraction(_division_sum(deg_d, deg_d, prime_factors(deg_d))),
         kind="conjectural_exact",
         formula="ckm-prime-decomposition-value",
         assumptions=(

@@ -130,15 +130,16 @@ class Mat:
         return hash((self.rows, self.cols, self.data))
 
     def __mul__(self, other: "Mat") -> "Mat":
+        """Matrix product, one column at a time through apply, so that the
+        sums are taken over the integer rows."""
         if not isinstance(other, Mat):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape()} * {other.shape()}")
-        bt = other.transpose().data
-        out = []
-        for r in self.data:
-            out.append([sum((a * b for a, b in zip(r, c)), Fraction(0)) for c in bt])
-        return Mat(out)
+        columns = [self.apply(c) for c in other.transpose().data]
+        if not (self.rows and columns):
+            return Mat.zeros(self.rows, other.cols)
+        return Mat(zip(*columns))
 
     def transpose(self) -> "Mat":
         if not self.cols:

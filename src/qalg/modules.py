@@ -195,11 +195,11 @@ def _rank_functionals(a: FDAlgebra) -> tuple[tuple[int, tuple[tuple[int, int], .
     w = wedderburn_decomposition(a)
     s = w.semisimple_quotient
     traces = s._traces()
+    basis = [s.basis_element(k) for k in range(s.dim)]
     out = []
-    for factor in w.factors:
-        e = factor.central_idempotent
+    for products in s._pairwise_products([f.central_idempotent for f in w.factors], basis):
         # tr_s(L_{e * c_k}) for each basis element c_k of s
-        t = [sum(x * y for x, y in zip(s.multiply(e, s.basis_element(k)), traces)) for k in range(s.dim)]
+        t = [sum(x * y for x, y in zip(ec, traces)) for ec in products]
         psi = [sum(x * y for x, y in zip(t, column)) for column in zip(*projection.data)]
         den = lcm(*{c.denominator for c in psi})
         out.append((den, tuple(_scaled(psi, den))))

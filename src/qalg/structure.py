@@ -86,10 +86,8 @@ class WedderburnReport:
 
 
 def _subspace_product(a: FDAlgebra, u: Subspace, v: Subspace) -> Subspace:
-    """The span of x * y over the basis vectors x of u and y of v: one
-    product of the column of u's vectors by the row of v's."""
-    products = a._matrix_product(tuple((x,) for x in u.vectors()), (v.vectors(),))
-    return Subspace(a.dim, [xy for row in products for xy in row])
+    """The span of x * y over the basis vectors x of u and y of v."""
+    return Subspace(a.dim, [xy for row in a._pairwise_products(u.vectors(), v.vectors()) for xy in row])
 
 
 @_memoized
@@ -147,30 +145,23 @@ def _splitting_candidates(rows: Sequence[Vec]) -> Iterator[Vec]:
                             )
 
 
-def _evaluate_poly_at_element(a: FDAlgebra, p: Poly, z: Vec, one: Vec) -> Vec:
-    """Evaluate p at the element z, with x^0 meaning the given unit element."""
-    out = [Fraction(0)] * a.dim
-    power = one
-    for i, c in enumerate(p.coeffs):
-        if i > 0:
-            power = a.multiply(power, z)
-        if c != 0:
-            for k, x in enumerate(power):
-                out[k] += c * x
-    return tuple(out)
-
-
 def _partial_fraction_idempotents(
     a: FDAlgebra, z: Vec, one: Vec, minpoly: Poly, moduli: list[Poly]
 ) -> list[Vec]:
     """Orthogonal idempotents summing to `one`, one per pairwise coprime
-    modulus of the minimal polynomial, evaluated at z."""
+    modulus of the minimal polynomial, evaluated at z. Each idempotent is a
+    polynomial of degree below d = deg minpoly in z, so it is a combination
+    of the powers z^0 = one, ..., z^(d-1), which are formed once."""
+    powers = [one]
+    for _ in range(minpoly.degree() - 1):
+        powers.append(a.multiply(powers[-1], z))
     out = []
     for q in moduli:
         g = minpoly // q
         _, s, _ = (g % q).extended_gcd(q)
         u = (g * (s % q)) % minpoly
-        e = _evaluate_poly_at_element(a, u, z, one)
+        terms = [(c, power) for c, power in zip(u.coeffs, powers) if c]
+        e = tuple(sum((c * power[k] for c, power in terms), Fraction(0)) for k in range(a.dim))
         if a.multiply(e, e) != e:
             raise InternalError("partial fraction idempotent failed")
         out.append(e)
@@ -256,7 +247,8 @@ def _matrix_size_search(
             return None
         q = tuple(u - x for u, x in zip(e, p))
         e = min(p, q, key=lambda x: sum(t * c for t, c in zip(traces, x)))
-        corner = Subspace(s.dim, [s.multiply(e, s.multiply(v, e)) for v in corner.vectors()])
+        right = [ve for (ve,) in s._pairwise_products(corner.vectors(), (e,))]
+        corner = Subspace(s.dim, s._pairwise_products((e,), right)[0])
     if corner.dim < center_dim:
         raise InternalError("a corner is smaller than the factor's center")
     return degree
@@ -283,16 +275,14 @@ def wedderburn_decomposition(a: FDAlgebra) -> WedderburnReport:
     report = jacobson_radical(a)
     s = report.quotient.quotient
     idempotents = central_primitive_idempotents(s)
-    center = s.center()
+    basis = [s.basis_element(i) for i in range(s.dim)]
+    factor_spans = s._pairwise_products(idempotents, basis)
+    center_spans = s._pairwise_products(idempotents, s.center().vectors())
     factors = []
-    for e in idempotents:
-        factor_space = Subspace(
-            s.dim, [s.multiply(e, s.basis_element(i)) for i in range(s.dim)]
-        )
+    for e, factor_span, center_span in zip(idempotents, factor_spans, center_spans):
+        factor_space = Subspace(s.dim, factor_span)
         factor_dim = factor_space.dim
-        center_dim = Subspace(
-            s.dim, [s.multiply(e, z) for z in center.vectors()]
-        ).dim
+        center_dim = Subspace(s.dim, center_span).dim
         degree = isqrt(factor_dim // center_dim)
         if degree * degree * center_dim != factor_dim:
             raise InternalError(

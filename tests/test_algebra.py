@@ -883,6 +883,24 @@ class TestQuotients:
         with pytest.raises(NotAnIdealError):
             quotient_by_ideal(m, Subspace(4, [[1, 0, 0, 0]]))
 
+    def test_one_sided_ideals_rejected(self):
+        # In M_2(Q), basis E00, E01, E10, E11: the first column is a left
+        # ideal only and the first row a right ideal only, so each side of
+        # the check is needed to reject one of them.
+        m = matrix_algebra(2)
+        first_column = Subspace(4, [[1, 0, 0, 0], [0, 0, 1, 0]])
+        first_row = Subspace(4, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        for left_only, u in ((True, first_column), (False, first_row)):
+            products = [
+                (reference_multiply(m.structure, e, x), reference_multiply(m.structure, x, e))
+                for e in Mat.identity(4).data
+                for x in u.vectors()
+            ]
+            assert all(u.contains(ex if left_only else xe) for ex, xe in products)
+            assert not all(u.contains(xe if left_only else ex) for ex, xe in products)
+            with pytest.raises(NotAnIdealError):
+                quotient_by_ideal(m, u)
+
     def test_whole_algebra_rejected(self):
         d = dual_numbers()
         with pytest.raises(ValueError):

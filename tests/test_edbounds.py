@@ -209,6 +209,13 @@ class TestKarpenko:
         assert r.kind == "exact"
         assert len(r.assumptions) >= 1
 
+    def test_large_prime_is_not_factored_again(self):
+        # p = 10^9 + 7: finding p again by trial division of p^2 would take
+        # about p/2 steps (72 s on a 2-core x86 VM, against 4 ms).
+        p = 1000000007
+        assert karpenko_value(p, 2, 1).value == p * p * (p - 1)
+        assert karpenko_value(p, 3, 3).value == p**3 - 1
+
     def test_range_violations(self):
         with pytest.raises(ValueError):
             karpenko_value(2, 2, 0)

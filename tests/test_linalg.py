@@ -380,6 +380,21 @@ class TestMatBasics:
                 with pytest.raises(ValueError):
                     m.apply([0] * (cols + 1))
 
+    def test_product_matches_reference_product(self):
+        # Mixed denominators and zero rows; the empty shapes 0 x k * k x m,
+        # k x 0 * 0 x m and k x m * m x 0 keep the outer sizes.
+        rng = random.Random(29)
+        for p, q, r in [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (1, 1, 1), (4, 6, 3), (5, 5, 5), (3, 2, 6)]:
+            for _ in range(3):
+                a, b = random_rational_matrix(rng, p, q), random_rational_matrix(rng, q, r)
+                got = a * b
+                # The reference reads the width from b's rows, so it cannot
+                # give the zero p x r product of an empty inner size.
+                expected = Mat(reference_matrix_product(a.data, b.data)) if p and q and r else Mat.zeros(p, r)
+                assert got.shape() == (p, r)
+                assert got == expected
+                assert all(type(c) is Fraction for row in got.data for c in row)
+
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             Mat([[1, 2], [3]])
