@@ -23,12 +23,12 @@ bases so equal inputs always produce identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import lcm
 from typing import Sequence
 
+from ._record import record
 from .errors import (
     AlgebraMismatchError,
     InternalError,
@@ -424,7 +424,7 @@ def subalgebra_on(a: FDAlgebra, sub: Subspace, unit_vec: Sequence) -> FDAlgebra:
     return FDAlgebra(structure, unit)
 
 
-@dataclass(frozen=True)
+@record
 class QuotientPresentation:
     """Quotient algebra with explicit projection and linear section.
 

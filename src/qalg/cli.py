@@ -8,6 +8,11 @@ are strings like "2/3" (or bare integers as strings). Every subcommand accepts
 (unreadable files, malformed JSON, bad flag values), 3 mathematical
 precondition failures (invalid structure constants, non-ideals, non-idempotent
 elements, uncertified or conflicting index data).
+
+The parser is built per command from the table _COMMANDS: build_parser(argv)
+holds only the subcommand that argv names at each level, or all of them at a
+level where argv names none, so a run does not pay for building the other
+commands' parsers. Usage, help and error text read as from the whole tree.
 """
 
 from __future__ import annotations
@@ -265,31 +270,40 @@ def cmd_ed_ckm(args) -> tuple[dict, list[str]]:
 _ASSERT_INDEX_RE = re.compile(r"^(\d+):(\d+)$")
 
 
+def _asserted_indices(specs: Sequence[str]) -> dict[int, int]:
+    """The --assert-index values as factor -> index. Checks their syntax and
+    that no factor gets two indices; the factor range needs the algebra."""
+    asserted: dict[int, int] = {}
+    for spec in specs:
+        m = _ASSERT_INDEX_RE.match(spec)
+        if not m:
+            raise input_error(
+                f"--assert-index expects FACTOR:INDEX with nonnegative integers, got {spec!r}"
+            )
+        pos, idx = int(m.group(1)), int(m.group(2))
+        if asserted.setdefault(pos, idx) != idx:
+            raise input_error(
+                f"--assert-index gives factor {pos} two indices, {asserted[pos]} and {idx}"
+            )
+    return asserted
+
+
 def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
-    a = validated_algebra(args.file)
+    # Every flag is checked before the file is read and decomposed.
     if args.d < 1:
         raise input_error("--d must be a positive integer")
     r = parse_rational_flag(args.rank, "--rank") if args.rank is not None else None
     if r is not None and r <= 0:
         raise input_error("--rank must be positive")
-    w = wedderburn_decomposition(a)
+    given = _asserted_indices(args.assert_index)
+    w = wedderburn_decomposition(validated_algebra(args.file))
     asserted: list[int | None] | None = None
-    if args.assert_index:
+    if given:
         asserted = [None] * len(w.factors)
-        for spec in args.assert_index:
-            m = _ASSERT_INDEX_RE.match(spec)
-            if not m:
-                raise input_error(
-                    f"--assert-index expects FACTOR:INDEX with nonnegative integers, got {spec!r}"
-                )
-            pos, idx = int(m.group(1)), int(m.group(2))
+        for pos, idx in given.items():
             if pos >= len(w.factors):
                 raise input_error(
                     f"--assert-index names factor {pos} but there are only {len(w.factors)} factors"
-                )
-            if asserted[pos] not in (None, idx):
-                raise input_error(
-                    f"--assert-index gives factor {pos} two indices, {asserted[pos]} and {idx}"
                 )
             asserted[pos] = idx
     try:
@@ -401,7 +415,146 @@ def cmd_gen(args) -> tuple[dict, list[str]]:
 # Parser assembly
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One add_argument call, as data."""
+    return flags, options
+
+
+_FILE = (_arg("file", help="algebra JSON file"),)
+
+# Every command: its path, its help (None lists it without a help line), its
+# arguments and its handler. A path in _GROUPS has subcommands, stored in the
+# namespace under the given name; every other path is a command to run and
+# takes --json. The table order is the order of the help listings.
+_GROUPS = {(): "command", ("ed",): "ed_command", ("gen",): "kind"}
+_COMMANDS = (
+    (("validate",), "check structure constants", _FILE, cmd_validate),
+    (("radical",), "radical and nilpotency index", _FILE, cmd_radical),
+    (("wedderburn",), "simple factor decomposition", _FILE, cmd_wedderburn),
+    (
+        ("lift-idem",),
+        "refine an element idempotent modulo a nilpotent ideal",
+        _FILE
+        + (
+            _arg("--idempotent", required=True, help="JSON vector in algebra coordinates"),
+            _arg("--ideal", required=True, help="JSON array of spanning vectors"),
+        ),
+        cmd_lift_idem,
+    ),
+    (("ed",), "essential-dimension style bounds", (), None),
+    (
+        ("ed", "csa"),
+        "rank-r modules over a degree-deg algebra",
+        (
+            _arg("--deg", type=int, required=True),
+            _arg("--rank", required=True, help="rational rank, for example 1/3"),
+        ),
+        cmd_ed_csa,
+    ),
+    (
+        ("ed", "division"),
+        "rank-1/d modules over a division algebra",
+        (_arg("--deg", type=int, required=True), _arg("--d", type=int, required=True)),
+        cmd_ed_division,
+    ),
+    (
+        ("ed", "karpenko"),
+        "prime power degree exact value",
+        (
+            _arg("--p", type=int, required=True),
+            _arg("--n", type=int, required=True),
+            _arg("--m", type=int, required=True),
+        ),
+        cmd_ed_karpenko,
+    ),
+    (("ed", "ckm"), "conjectural exact value for rank 1/deg", (_arg("--deg", type=int, required=True),), cmd_ed_ckm),
+    (
+        ("ed", "algebra"),
+        "bound for rank-1/d modules over an algebra file",
+        _FILE
+        + (
+            _arg("--d", type=int, required=True),
+            _arg("--rank", default=None, help="override the module rank (default 1/d)"),
+            _arg(
+                "--assert-index",
+                action="append",
+                default=[],
+                metavar="FACTOR:INDEX",
+                help="assert the division algebra index of a factor with an"
+                " uncertified matrix size; repeatable",
+            ),
+        ),
+        cmd_ed_algebra,
+    ),
+    (
+        ("ed", "bundle"),
+        "bundle moduli essential dimension",
+        (
+            _arg("--genus", type=int, required=True),
+            _arg("--rank", type=int, required=True),
+            _arg("--degree", type=int, required=True),
+            _arg("--assume-ckm", action="store_true"),
+        ),
+        cmd_ed_bundle,
+    ),
+    (
+        ("ed", "nil-dim"),
+        "nilpotent stratum dimension",
+        (
+            _arg("--genus", type=int, required=True),
+            _arg("--partition", required=True, help="comma-separated parts, for example 2,1"),
+        ),
+        cmd_ed_nil_dim,
+    ),
+    (("ed", "partitions"), "maximize sum of squared parts", (_arg("--rank", type=int, required=True),), cmd_ed_partitions),
+    (("gen",), "emit a built-in algebra as JSON", (), cmd_gen),
+    (("gen", "matrix"), None, (_arg("size", type=int),), None),
+    (("gen", "upper-triangular"), None, (_arg("size", type=int),), None),
+    (("gen", "dual-numbers"), None, (), None),
+    (
+        ("gen", "quaternions"),
+        None,
+        (
+            _arg("a", help="square of the first generator, for example -1"),
+            _arg("b", help="square of the second generator"),
+        ),
+        None,
+    ),
+    (("gen", "group"), None, (_arg("name", help="cN, cNxcM, or s3"),), None),
+    (("gen", "fixture"), None, (_arg("name", help="name of a built-in fixture algebra"),), None),
+)
+
+
+def _add_subcommands(parser, path: tuple[str, ...], rest: Sequence[str], common) -> None:
+    """Give parser the subcommands under path. When rest, the command line
+    after path, starts with one of their names, only that one is built, and
+    the metavar keeps all of them in the usage line, which the top level
+    prints for an argument that no command takes."""
+    rows = [row for row in _COMMANDS if row[0][:-1] == path]
+    names = [row[0][-1] for row in rows]
+    if rest and rest[0] in names:
+        rows = [rows[names.index(rest[0])]]
+        metavar, rest = "{" + ",".join(names) + "}", rest[1:]
+    else:
+        metavar, rest = None, ()
+    sub = parser.add_subparsers(dest=_GROUPS[path], required=True, metavar=metavar)
+    for child, help_text, arguments, handler in rows:
+        group = child in _GROUPS
+        options = {} if help_text is None else {"help": help_text}
+        p = sub.add_parser(child[-1], parents=[] if group else [common], **options)
+        for flags, kw in arguments:
+            p.add_argument(*flags, **kw)
+        if handler is not None:
+            p.set_defaults(func=handler)
+        if group:
+            _add_subcommands(p, child, rest, common)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for the command line argv. It builds only the subcommand
+    that argv names at each level, and every subcommand at a level where argv
+    names none, so the empty argv gives the whole tree. Usage, help and
+    errors read the same either way."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit a machine-readable JSON envelope"
@@ -412,109 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact structure computations for finite-dimensional"
         " rational algebras, and essential-dimension style bounds.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="check structure constants")
-    p.add_argument("file", help="algebra JSON file")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("radical", parents=[common], help="radical and nilpotency index")
-    p.add_argument("file", help="algebra JSON file")
-    p.set_defaults(func=cmd_radical)
-
-    p = sub.add_parser("wedderburn", parents=[common], help="simple factor decomposition")
-    p.add_argument("file", help="algebra JSON file")
-    p.set_defaults(func=cmd_wedderburn)
-
-    p = sub.add_parser(
-        "lift-idem",
-        parents=[common],
-        help="refine an element idempotent modulo a nilpotent ideal",
-    )
-    p.add_argument("file", help="algebra JSON file")
-    p.add_argument("--idempotent", required=True, help="JSON vector in algebra coordinates")
-    p.add_argument("--ideal", required=True, help="JSON array of spanning vectors")
-    p.set_defaults(func=cmd_lift_idem)
-
-    ed = sub.add_parser("ed", help="essential-dimension style bounds")
-    edsub = ed.add_subparsers(dest="ed_command", required=True)
-
-    p = edsub.add_parser("csa", parents=[common], help="rank-r modules over a degree-deg algebra")
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--rank", required=True, help="rational rank, for example 1/3")
-    p.set_defaults(func=cmd_ed_csa)
-
-    p = edsub.add_parser("division", parents=[common], help="rank-1/d modules over a division algebra")
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.set_defaults(func=cmd_ed_division)
-
-    p = edsub.add_parser("karpenko", parents=[common], help="prime power degree exact value")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_ed_karpenko)
-
-    p = edsub.add_parser("ckm", parents=[common], help="conjectural exact value for rank 1/deg")
-    p.add_argument("--deg", type=int, required=True)
-    p.set_defaults(func=cmd_ed_ckm)
-
-    p = edsub.add_parser(
-        "algebra",
-        parents=[common],
-        help="bound for rank-1/d modules over an algebra file",
-    )
-    p.add_argument("file", help="algebra JSON file")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--rank", default=None, help="override the module rank (default 1/d)")
-    p.add_argument(
-        "--assert-index",
-        action="append",
-        default=[],
-        metavar="FACTOR:INDEX",
-        help="assert the division algebra index of a factor with an"
-        " uncertified matrix size; repeatable",
-    )
-    p.set_defaults(func=cmd_ed_algebra)
-
-    p = edsub.add_parser("bundle", parents=[common], help="bundle moduli essential dimension")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--assume-ckm", action="store_true")
-    p.set_defaults(func=cmd_ed_bundle)
-
-    p = edsub.add_parser("nil-dim", parents=[common], help="nilpotent stratum dimension")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--partition", required=True, help="comma-separated parts, for example 2,1")
-    p.set_defaults(func=cmd_ed_nil_dim)
-
-    p = edsub.add_parser("partitions", parents=[common], help="maximize sum of squared parts")
-    p.add_argument("--rank", type=int, required=True)
-    p.set_defaults(func=cmd_ed_partitions)
-
-    p = sub.add_parser("gen", help="emit a built-in algebra as JSON")
-    p.set_defaults(func=cmd_gen)
-    gensub = p.add_subparsers(dest="kind", required=True)
-
-    g = gensub.add_parser("matrix", parents=[common])
-    g.add_argument("size", type=int)
-
-    g = gensub.add_parser("upper-triangular", parents=[common])
-    g.add_argument("size", type=int)
-
-    gensub.add_parser("dual-numbers", parents=[common])
-
-    g = gensub.add_parser("quaternions", parents=[common])
-    g.add_argument("a", help="square of the first generator, for example -1")
-    g.add_argument("b", help="square of the second generator")
-
-    g = gensub.add_parser("group", parents=[common])
-    g.add_argument("name", help="cN, cNxcM, or s3")
-
-    g = gensub.add_parser("fixture", parents=[common])
-    g.add_argument("name", help="name of a built-in fixture algebra")
-
+    _add_subcommands(parser, (), list(argv), common)
     return parser
 
 
@@ -530,8 +581,8 @@ def _run(args) -> tuple[dict, list[str]]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     as_json = getattr(args, "json", False)
     try:
         payload, lines = _run(args)

@@ -9,10 +9,10 @@ live with the tests, in tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Sequence
 
+from ._record import record
 from .algebra import (
     FDAlgebra,
     direct_product,
@@ -57,7 +57,7 @@ def symmetric3_table() -> list[list[int]]:
     return table
 
 
-@dataclass(frozen=True)
+@record
 class GoldenSummary:
     """Expected structure data: radical dimension, nilpotency index, and the
     sorted tuple of (factor_dim, center_dim, degree, matrix_size) shapes.
@@ -69,7 +69,7 @@ class GoldenSummary:
     oracle: str
 
 
-@dataclass(frozen=True)
+@record
 class FixtureSpec:
     name: str
     build: Callable[[], FDAlgebra]

@@ -8,11 +8,11 @@ Values are exact rationals throughout; nothing here is floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
+from ._record import record
 from .errors import InternalError, NotDivisorError, RankNotRealizableError, UnknownIndexError
 from .linalg import rat, rat_to_str
 from .polyfactor import _least_factor, is_prime
@@ -21,7 +21,7 @@ from .structure import WedderburnReport
 KINDS = ("exact", "upper", "strict_upper", "conjectural_exact", "minus_infinity")
 
 
-@dataclass(frozen=True)
+@record
 class EdBoundReport:
     """A bound value with its strength and the formula that produced it."""
 
@@ -45,7 +45,7 @@ class EdBoundReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class CSADescriptor:
     """Degree and (optionally) Schur index of a central simple algebra."""
 
@@ -62,7 +62,7 @@ class CSADescriptor:
                 raise ValueError("index must divide the degree")
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """Weakly decreasing positive integer parts."""
 
@@ -374,7 +374,7 @@ def enumerate_partitions(n: int, largest: int | None = None) -> Iterator[tuple[i
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
+@record
 class PartitionCheck:
     rank: int
     max_square_sum: int

@@ -32,11 +32,11 @@ memoized on it; a rank then needs no product and no projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from ._record import record
 from .algebra import FDAlgebra, QuotientPresentation, Vec, _memoized
 from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, UnknownIndexError
 from .linalg import _scaled, rat, rat_to_str, rat_vector_from_json
@@ -139,7 +139,7 @@ class IdempotentMatrix:
         return f"IdempotentMatrix(size={self.size}, algebra_dim={self.algebra.dim})"
 
 
-@dataclass(frozen=True)
+@record
 class ProjectiveModuleDescriptor:
     """Presentation together with its per-factor rank vector. uniform_rank is
     the common value when every factor has the same rank, else None."""

@@ -10,16 +10,16 @@ factor lists are sorted by degree then coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt
 
+from ._record import record
 from .errors import BadPrimeError, InternalError
 from .poly import Poly
 
 
-@dataclass(frozen=True)
+@record
 class Factorization:
     """content * product(poly**mult) reproduces the input exactly."""
 

@@ -31,11 +31,11 @@ does not free them when the last outside reference goes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 from typing import Iterator, Sequence
 
+from ._record import record
 from .algebra import (
     FDAlgebra,
     QuotientPresentation,
@@ -50,7 +50,7 @@ from .poly import Poly
 from .polyfactor import Factorization, factor_rational
 
 
-@dataclass(frozen=True)
+@record
 class RadicalReport:
     """Radical subspace, its nilpotency index (1 means the radical is zero),
     and the presentation of the semisimple quotient."""
@@ -60,7 +60,7 @@ class RadicalReport:
     quotient: QuotientPresentation
 
 
-@dataclass(frozen=True)
+@record
 class SimpleFactorData:
     """One simple factor of the semisimple quotient.
 
@@ -79,7 +79,7 @@ class SimpleFactorData:
     matrix_size: int | None
 
 
-@dataclass(frozen=True)
+@record
 class WedderburnReport:
     semisimple_quotient: FDAlgebra
     factors: tuple[SimpleFactorData, ...]

@@ -4,13 +4,18 @@ main() is called in-process; JSON-mode outputs are compared byte for byte
 against envelopes rebuilt from direct library calls, which pins down the
 serialization (sorted keys, two-space indent, trailing newline)."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import qalg.cli
 from qalg.algebra import FDAlgebra
-from qalg.cli import main, render_json
+from qalg.cli import _COMMANDS, _GROUPS, build_parser, main, render_json
 from qalg.edbounds import (
     bound_csa,
     bound_division,
@@ -578,3 +583,130 @@ class TestEdPartitions:
     def test_rank_below_two(self, capsys):
         code, _, _ = run(capsys, "ed", "partitions", "--rank", "1")
         assert code == 2
+
+
+class TestEdAlgebraFlagsFirst:
+    """Flag errors are reported before the algebra is loaded and decomposed,
+    with the same messages; only the factor range needs the decomposition."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--d", "0"), "--d must be a positive integer"),
+            (("--d", "2", "--rank", "x"), "--rank: not a rational: 'x'"),
+            (("--d", "2", "--rank", "0"), "--rank must be positive"),
+            (
+                ("--d", "2", "--assert-index", "x"),
+                "--assert-index expects FACTOR:INDEX with nonnegative integers, got 'x'",
+            ),
+            (
+                ("--d", "2", "--assert-index", "0:1", "--assert-index", "1:1", "--assert-index", "0:2"),
+                "--assert-index gives factor 0 two indices, 1 and 2",
+            ),
+        ],
+    )
+    def test_flags_checked_before_the_file(self, capsys, monkeypatch, flags, message):
+        def load(*args):
+            raise AssertionError("the algebra was loaded before its flags were checked")
+
+        monkeypatch.setattr(qalg.cli, "validated_algebra", load)
+        monkeypatch.setattr(qalg.cli, "wedderburn_decomposition", load)
+        assert run(capsys, "ed", "algebra", "never-read.json", *flags) == (2, "", f"error: {message}\n")
+
+    def test_first_factor_out_of_range_is_named(self, capsys, tmp_path):
+        path = write_algebra(capsys, tmp_path, "m2.json", "matrix", "2")
+        flags = ("--d", "2", "--assert-index", "0:2", "--assert-index", "3:1", "--assert-index", "2:1")
+        code, out, err = run(capsys, "ed", "algebra", path, *flags)
+        assert (code, out) == (2, "")
+        assert err == "error: --assert-index names factor 3 but there are only 1 factors\n"
+
+
+def test_import_leaves_dataclasses_out():
+    """Every qalg process imports qalg.cli; dataclasses (with inspect, ast,
+    dis and tokenize) and its exec-built methods were most of that import."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, qalg.cli; sys.exit('dataclasses' in sys.modules)"
+    # -S: no site-packages start-up hook imports anything before qalg does.
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 0
+
+
+# One valid command line under every command that runs.
+VALID = {
+    ("validate",): ["a.json"],
+    ("radical",): ["a.json", "--json"],
+    ("wedderburn",): ["a.json"],
+    ("lift-idem",): ["a.json", "--idempotent", "[1]", "--ideal", "[]"],
+    ("ed", "csa"): ["--deg", "4", "--rank", "1/2"],
+    ("ed", "division"): ["--deg", "4", "--d", "2", "--json"],
+    ("ed", "karpenko"): ["--p", "2", "--n", "2", "--m", "1"],
+    ("ed", "ckm"): ["--deg", "6"],
+    ("ed", "algebra"): ["a.json", "--d", "2", "--assert-index", "0:1", "--assert-index", "1:2"],
+    ("ed", "bundle"): ["--genus", "2", "--rank", "2", "--degree", "1", "--assume-ckm"],
+    ("ed", "nil-dim"): ["--genus", "3", "--partition", "2,1"],
+    ("ed", "partitions"): ["--rank", "6"],
+    ("gen", "matrix"): ["3"],
+    ("gen", "upper-triangular"): ["2", "--json"],
+    ("gen", "dual-numbers"): [],
+    ("gen", "quaternions"): ["--", "-1", "-1"],
+    ("gen", "group"): ["s3"],
+    ("gen", "fixture"): ["matrix-2"],
+}
+PATHS = [path for path, *_ in _COMMANDS]
+
+
+def parse(capsys, parser, argv):
+    """Exit code (None when parsing succeeds), stdout, stderr and namespace."""
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, namespace
+
+
+def subcommands(parser) -> list[str]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+class TestParserPerCommand:
+    """build_parser(argv) holds only the commands argv names; it must parse,
+    help and fail exactly as the whole tree, build_parser(), does."""
+
+    def assert_same(self, capsys, argv):
+        narrowed = parse(capsys, build_parser(argv), argv)
+        assert narrowed == parse(capsys, build_parser(), argv)
+        return narrowed
+
+    def test_every_runnable_command_has_a_valid_call(self):
+        assert set(VALID) == {path for path in PATHS if path not in _GROUPS}
+
+    @pytest.mark.parametrize("path", [()] + PATHS, ids=lambda p: " ".join(p) or "qalg")
+    def test_help(self, capsys, path):
+        code, out, _, _ = self.assert_same(capsys, [*path, "--help"])
+        assert code == 0 and out.startswith("usage: " + " ".join(("qalg",) + path))
+
+    @pytest.mark.parametrize("path", PATHS, ids=" ".join)
+    def test_missing_and_unknown_arguments(self, capsys, path):
+        self.assert_same(capsys, list(path))
+        code, _, err, _ = self.assert_same(capsys, [*path, *VALID.get(path, []), "--bogus"])
+        assert code == 2
+        if path not in _GROUPS:
+            # Reported by the top level, whose usage lists every command.
+            assert err.startswith("usage: qalg [-h] {validate,radical,wedderburn,lift-idem,ed,gen} ...\n")
+
+    @pytest.mark.parametrize("argv", [["bogus"], ["ed", "bogus"], ["gen", "bogus"], ["Ed", "csa"], []])
+    def test_invalid_or_missing_subcommand(self, capsys, argv):
+        code, _, err, _ = self.assert_same(capsys, argv)
+        assert code == 2 and ("invalid choice" in err or "arguments are required" in err)
+
+    @pytest.mark.parametrize("path", list(VALID), ids=" ".join)
+    def test_valid_call(self, capsys, path):
+        argv = [*path, *VALID[path]]
+        code, _, _, namespace = self.assert_same(capsys, argv)
+        assert code is None and namespace["func"] is not None
+        parser = build_parser(argv)
+        assert subcommands(parser) == [path[0]]
+        if len(path) > 1:
+            assert subcommands(parser._subparsers._group_actions[0].choices[path[0]]) == [path[1]]

@@ -1,0 +1,156 @@
+"""The package's frozen records behave as ``@dataclass(frozen=True)`` would.
+
+Each record class is checked against a real frozen dataclass with the same
+fields and defaults, built here: the package itself does not import
+``dataclasses``."""
+
+import dataclasses
+from fractions import Fraction
+
+import pytest
+
+import qalg
+from qalg.algebra import QuotientPresentation
+from qalg.corpus import FixtureSpec, GoldenSummary
+from qalg.edbounds import CSADescriptor, EdBoundReport, Partition, PartitionCheck
+from qalg.modules import ProjectiveModuleDescriptor
+from qalg.polyfactor import Factorization
+from qalg.structure import RadicalReport, SimpleFactorData, WedderburnReport
+
+# Each record's fields in order, (name, default) where it has one, and two
+# argument tuples that differ in their last field. Records without a
+# __post_init__ get values of mixed types; it does not check them.
+RECORDS = [
+    (QuotientPresentation, ("algebra", "ideal", "quotient", "projection", "section"), (1, "i", None, (2,), Fraction(1, 3)), (1, "i", None, (2,), 0)),
+    (RadicalReport, ("radical", "nilpotency_index", "quotient"), ("r", 2, "q"), ("r", 2, "p")),
+    (SimpleFactorData, ("central_idempotent", "factor_dim", "center_dim", "degree_over_center", "matrix_size"), ((Fraction(1), Fraction(0)), 4, 1, 2, 2), ((Fraction(1), Fraction(0)), 4, 1, 2, None)),
+    (WedderburnReport, ("semisimple_quotient", "factors"), ("s", ()), ("s", ("f",))),
+    (EdBoundReport, ("value", "kind", "formula", ("assumptions", ())), (Fraction(3, 2), "upper", "f'x\"", ("a",)), (Fraction(3, 2), "upper", "f'x\"", ())),
+    (CSADescriptor, ("degree", ("index", None)), (6, 3), (6, 2)),
+    (Partition, ("parts",), ((3, 1, 1),), ((3, 2),)),
+    (PartitionCheck, ("rank", "max_square_sum", "predicted", "witness", "attained"), (3, 5, 5, Partition((2, 1)), True), (3, 5, 5, Partition((2, 1)), False)),
+    (ProjectiveModuleDescriptor, ("algebra", "presentation", "rank_vector", "uniform_rank"), ("a", "p", (Fraction(1, 2),), Fraction(1, 2)), ("a", "p", (Fraction(1, 2),), None)),
+    (Factorization, ("content", "factors"), (Fraction(-2), ()), (Fraction(-2), ((1, 2),))),
+    (GoldenSummary, ("radical_dim", "nilpotency_index", "factor_shapes", "oracle"), (0, 1, ((1, 1, 1, 1),), "base"), (0, 1, ((1, 1, 1, 1),), "other")),
+    (FixtureSpec, ("name", "build", "expected"), ("x", len, None), ("x", len, 0)),
+]
+IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+
+def oracle(cls, fields):
+    """A frozen dataclass of the same name with these fields and defaults."""
+    spec = [(f, object) if isinstance(f, str) else (f[0], object, dataclasses.field(default=f[1])) for f in fields]
+    return dataclasses.make_dataclass(cls.__name__, spec, frozen=True)
+
+
+def field_names(fields):
+    return [f if isinstance(f, str) else f[0] for f in fields]
+
+
+def raised(make):
+    """The exception make() raises and its message, without the function name
+    in front and the keyword suggestion behind, which depend on the Python
+    version."""
+    with pytest.raises(Exception) as info:
+        make()
+    message = str(info.value).split("() ", 1)[-1]
+    return type(info.value), message.split(". Did you mean")[0]
+
+
+def test_every_record_is_covered():
+    # The record decorator sets __match_args__, which no other class in the
+    # package defines.
+    found = {
+        obj
+        for module in (qalg.algebra, qalg.corpus, qalg.edbounds, qalg.modules, qalg.polyfactor, qalg.structure)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and "__match_args__" in vars(obj)
+    }
+    assert found == {cls for cls, *_ in RECORDS}
+
+
+@pytest.mark.parametrize("cls, fields, args, other", RECORDS, ids=IDS)
+class TestAgainstDataclass:
+    def test_fields_and_defaults(self, cls, fields, args, other):
+        assert cls.__match_args__ == tuple(field_names(fields))
+        for f in fields:
+            if not isinstance(f, str):
+                assert getattr(cls, f[0]) == f[1]
+
+    def test_repr(self, cls, fields, args, other):
+        ref = oracle(cls, fields)
+        for values in (args, other):
+            assert repr(cls(*values)) == repr(ref(*values))
+        names = field_names(fields)
+        assert repr(cls(**dict(zip(names, args)))) == repr(ref(*args))
+
+    def test_defaults_fill_in(self, cls, fields, args, other):
+        ref = oracle(cls, fields)
+        required = sum(isinstance(f, str) for f in fields)
+        assert repr(cls(*args[:required])) == repr(ref(*args[:required]))
+
+    def test_equality_and_hash(self, cls, fields, args, other):
+        ref = oracle(cls, fields)
+        for a in (args, other):
+            for b in (args, other):
+                assert (cls(*a) == cls(*b)) == (ref(*a) == ref(*b))
+                assert (cls(*a) != cls(*b)) == (ref(*a) != ref(*b))
+            assert hash(cls(*a)) == hash(ref(*a))
+        record = cls(*args)
+        assert record == record
+        # Equal only to the same class: not to the dataclass with the same
+        # fields, nor to the tuple of its values.
+        assert record != ref(*args) and ref(*args) != record
+        assert record != tuple(getattr(record, n) for n in field_names(fields))
+
+    def test_frozen(self, cls, fields, args, other):
+        record = cls(*args)
+        for name in field_names(fields) + ["not_a_field"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == repr(cls(*args))
+
+    def test_bad_arguments(self, cls, fields, args, other):
+        ref = oracle(cls, fields)
+        names = field_names(fields)
+        calls = [
+            lambda c: c(),
+            lambda c: c(*args[:-1]) if isinstance(fields[-1], str) else c(),
+            lambda c: c(*args, 0),
+            lambda c: c(*args, no_such_field=0),
+            lambda c: c(**dict(zip(names[1:], args[1:]))),
+            lambda c: c(*args, **{names[0]: args[0]}),
+            lambda c: c(*args, **{names[-1]: args[-1]}),
+        ]
+        for call in calls:
+            expected = raised(lambda: call(ref))
+            assert expected[0] is TypeError
+            assert raised(lambda: call(cls)) == expected
+
+
+class TestPostInit:
+    def test_unknown_bound_kind(self):
+        with pytest.raises(ValueError, match="unknown bound kind"):
+            EdBoundReport(Fraction(1), "bogus", "f")
+
+    def test_value_matches_minus_infinity(self):
+        with pytest.raises(ValueError, match="exactly for minus_infinity"):
+            EdBoundReport(None, "upper", "f")
+
+    def test_index_must_divide_degree(self):
+        with pytest.raises(ValueError, match="index must divide the degree"):
+            CSADescriptor(4, 3)
+        with pytest.raises(ValueError, match="index must divide the degree"):
+            CSADescriptor(degree=4, index=3)
+
+    def test_partition_parts_decrease(self):
+        with pytest.raises(ValueError, match="weakly decreasing"):
+            Partition((1, 2))
+
+    def test_partition_stores_ints(self):
+        p = Partition(("2", 1))
+        assert p.parts == (2, 1) and all(type(x) is int for x in p.parts)
+        assert p == Partition((2, 1)) and hash(p) == hash(Partition((2, 1)))
+        assert repr(p) == "Partition(parts=(2, 1))"
