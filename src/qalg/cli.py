@@ -9,6 +9,11 @@ are strings like "2/3" (or bare integers as strings). Every subcommand accepts
 precondition failures (invalid structure constants, non-ideals, non-idempotent
 elements, uncertified or conflicting index data).
 
+Each handler returns its payload and its text lines. The plain commands
+(validate, radical, lift-idem, ed nil-dim, ed partitions) write their text by
+one rule, _plain: a "key: value" line per payload entry; wedderburn, the ed
+bound reports and gen have text of their own.
+
 The parser is built per command from the table _COMMANDS: build_parser(argv)
 holds only the subcommand that argv names at each level, or all of them at a
 level where argv names none, so a run does not pay for building the other
@@ -102,12 +107,15 @@ def validated_algebra(path: str) -> FDAlgebra:
     return a
 
 
-def parse_vector_json(text: str, dim: int, what: str) -> tuple[Fraction, ...]:
+def _json_argument(text: str, what: str):
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise input_error(f"{what} is not valid JSON: {exc}") from exc
-    return _vector_from_obj(raw, dim, what)
+
+
+def parse_vector_json(text: str, dim: int, what: str) -> tuple[Fraction, ...]:
+    return _vector_from_obj(_json_argument(text, what), dim, what)
 
 
 def _vector_from_obj(raw, dim: int, what: str) -> tuple[Fraction, ...]:
@@ -115,25 +123,17 @@ def _vector_from_obj(raw, dim: int, what: str) -> tuple[Fraction, ...]:
         raise input_error(f"{what} must be a JSON array of length {dim}")
     out = []
     for x in raw:
-        if isinstance(x, bool) or isinstance(x, float):
-            raise input_error(f"{what} entries must be integers or rational strings")
-        if isinstance(x, int):
+        if isinstance(x, str):
+            out.append(parse_rational_flag(x, what))
+        elif isinstance(x, int) and not isinstance(x, bool):
             out.append(Fraction(x))
-        elif isinstance(x, str):
-            try:
-                out.append(rat_from_str(x))
-            except ValueError as exc:
-                raise input_error(f"{what}: {exc}") from exc
         else:
             raise input_error(f"{what} entries must be integers or rational strings")
     return tuple(out)
 
 
 def parse_subspace_json(text: str, dim: int, what: str) -> Subspace:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise input_error(f"{what} is not valid JSON: {exc}") from exc
+    raw = _json_argument(text, what)
     if not isinstance(raw, list):
         raise input_error(f"{what} must be a JSON array of vectors")
     vectors = [_vector_from_obj(v, dim, f"{what} vector {i}") for i, v in enumerate(raw)]
@@ -163,67 +163,61 @@ def vec_json(v: Sequence[Fraction]) -> list[str]:
 # Subcommand implementations (each returns a payload dict and human lines)
 
 
+def _plain(payload: dict) -> tuple[dict, list[str]]:
+    """The payload and its text, one "key: value" line per entry in order. A
+    bool reads yes or no; a list of vectors (or an empty list) gives one line
+    per vector with its entries joined by spaces; a list of strings is joined
+    by spaces and a list of ints by commas."""
+    lines = []
+    for key, value in payload.items():
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif isinstance(value, list) and (not value or isinstance(value[0], list)):
+            lines += [f"{key}: " + " ".join(v) for v in value]
+            continue
+        elif isinstance(value, list):
+            value = (" " if isinstance(value[0], str) else ",").join(map(str, value))
+        lines.append(f"{key}: {value}")
+    return payload, lines
+
+
 def cmd_validate(args) -> tuple[dict, list[str]]:
     a = validated_algebra(args.file)
-    payload = {"dim": a.dim, "valid": True, "commutative": a.is_commutative()}
-    lines = [
-        f"dim: {a.dim}",
-        "valid: yes",
-        f"commutative: {'yes' if a.is_commutative() else 'no'}",
-    ]
-    return payload, lines
+    return _plain({"dim": a.dim, "valid": True, "commutative": a.is_commutative()})
 
 
 def cmd_radical(args) -> tuple[dict, list[str]]:
-    a = validated_algebra(args.file)
-    report = jacobson_radical(a)
-    payload = {
-        "radical_dim": report.radical.dim,
-        "nilpotency_index": report.nilpotency_index,
-        "semisimple_dim": report.quotient.quotient.dim,
-        "radical_basis": [vec_json(v) for v in report.radical.vectors()],
-    }
-    lines = [
-        f"radical_dim: {report.radical.dim}",
-        f"nilpotency_index: {report.nilpotency_index}",
-        f"semisimple_dim: {report.quotient.quotient.dim}",
-    ]
-    for v in report.radical.vectors():
-        lines.append("radical_basis: " + " ".join(vec_json(v)))
-    return payload, lines
+    report = jacobson_radical(validated_algebra(args.file))
+    return _plain(
+        {
+            "radical_dim": report.radical.dim,
+            "nilpotency_index": report.nilpotency_index,
+            "semisimple_dim": report.quotient.quotient.dim,
+            "radical_basis": [vec_json(v) for v in report.radical.vectors()],
+        }
+    )
 
 
 def cmd_wedderburn(args) -> tuple[dict, list[str]]:
     a = validated_algebra(args.file)
-    radical = jacobson_radical(a)
+    radical_dim = jacobson_radical(a).radical.dim
     w = wedderburn_decomposition(a)
-    factors = []
-    lines = [
-        f"radical_dim: {radical.radical.dim}",
-        f"semisimple_dim: {w.semisimple_quotient.dim}",
-        f"factors: {len(w.factors)}",
+    factors = [
+        {
+            "factor_dim": f.factor_dim,
+            "center_dim": f.center_dim,
+            "degree": f.degree_over_center,
+            "matrix_size": "unknown" if f.matrix_size is None else f.matrix_size,
+            "idempotent": vec_json(f.central_idempotent),
+        }
+        for f in w.factors
     ]
-    for i, f in enumerate(w.factors):
-        size = "unknown" if f.matrix_size is None else f.matrix_size
-        factors.append(
-            {
-                "factor_dim": f.factor_dim,
-                "center_dim": f.center_dim,
-                "degree": f.degree_over_center,
-                "matrix_size": size,
-                "idempotent": vec_json(f.central_idempotent),
-            }
-        )
-        lines.append(
-            f"factor {i}: dim {f.factor_dim}, center {f.center_dim},"
-            f" degree {f.degree_over_center}, matrix size {size}"
-        )
-    payload = {
-        "radical_dim": radical.radical.dim,
-        "semisimple_dim": w.semisimple_quotient.dim,
-        "factors": factors,
-    }
-    return payload, lines
+    lines = [f"radical_dim: {radical_dim}", f"semisimple_dim: {w.semisimple_quotient.dim}", f"factors: {len(factors)}"]
+    lines += [
+        f"factor {i}: dim {f['factor_dim']}, center {f['center_dim']}, degree {f['degree']}, matrix size {f['matrix_size']}"
+        for i, f in enumerate(factors)
+    ]
+    return {"radical_dim": radical_dim, "semisimple_dim": w.semisimple_quotient.dim, "factors": factors}, lines
 
 
 def cmd_lift_idem(args) -> tuple[dict, list[str]]:
@@ -235,19 +229,13 @@ def cmd_lift_idem(args) -> tuple[dict, list[str]]:
         lifted, steps = refine_to_idempotent(qp, element)
     except ValueError as exc:
         raise math_error(str(exc)) from exc
-    payload = {"idempotent": vec_json(lifted), "iterations": steps}
-    lines = [
-        "idempotent: " + " ".join(vec_json(lifted)),
-        f"iterations: {steps}",
-    ]
-    return payload, lines
+    return _plain({"idempotent": vec_json(lifted), "iterations": steps})
 
 
 def _report(report) -> tuple[dict, list[str]]:
     value = "-infinity" if report.value is None else rat_to_str(report.value)
     lines = [f"value: {value}", f"kind: {report.kind}", f"formula: {report.formula}"]
-    for note in report.assumptions:
-        lines.append(f"assumption: {note}")
+    lines += [f"assumption: {note}" for note in report.assumptions]
     return report.to_json_dict(), lines
 
 
@@ -297,15 +285,11 @@ def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
         raise input_error("--rank must be positive")
     given = _asserted_indices(args.assert_index)
     w = wedderburn_decomposition(validated_algebra(args.file))
-    asserted: list[int | None] | None = None
-    if given:
-        asserted = [None] * len(w.factors)
-        for pos, idx in given.items():
-            if pos >= len(w.factors):
-                raise input_error(
-                    f"--assert-index names factor {pos} but there are only {len(w.factors)} factors"
-                )
-            asserted[pos] = idx
+    n = len(w.factors)
+    for pos in given:
+        if pos >= n:
+            raise input_error(f"--assert-index names factor {pos} but there are only {n} factors")
+    asserted = [given.get(i) for i in range(n)] if given else None
     try:
         report = bound_from_wedderburn(w, args.d, asserted_indices=asserted, r=r)
     except ValueError as exc:
@@ -321,94 +305,67 @@ def cmd_ed_bundle(args) -> tuple[dict, list[str]]:
 
 def cmd_ed_nil_dim(args) -> tuple[dict, list[str]]:
     partition = parse_partition(args.partition)
-    dim = nil_stack_dim(args.genus, partition)
-    trdeg = int(trdeg_bound_indecomposable(args.genus, partition).value)
-    payload = {
-        "genus": args.genus,
-        "partition": list(partition.parts),
-        "dim": dim,
-        "moduli_trdeg_bound": trdeg,
-    }
-    lines = [
-        f"genus: {args.genus}",
-        "partition: " + ",".join(str(p) for p in partition.parts),
-        f"dim: {dim}",
-        f"moduli_trdeg_bound: {trdeg}",
-    ]
-    return payload, lines
+    return _plain(
+        {
+            "genus": args.genus,
+            "partition": list(partition.parts),
+            "dim": nil_stack_dim(args.genus, partition),
+            "moduli_trdeg_bound": int(trdeg_bound_indecomposable(args.genus, partition).value),
+        }
+    )
 
 
 def cmd_ed_partitions(args) -> tuple[dict, list[str]]:
     if args.rank > MAX_PARTITION_RANK:
         raise input_error(f"rank {args.rank} exceeds the partition enumeration cap {MAX_PARTITION_RANK}")
     check = partition_square_sum_check(args.rank)
-    payload = {
-        "rank": check.rank,
-        "max_square_sum": check.max_square_sum,
-        "predicted": check.predicted,
-        "witness": list(check.witness.parts),
-        "attained": check.attained,
-    }
-    lines = [
-        f"rank: {check.rank}",
-        f"max_square_sum: {check.max_square_sum}",
-        f"predicted: {check.predicted}",
-        "witness: " + ",".join(str(p) for p in check.witness.parts),
-        f"attained: {'yes' if check.attained else 'no'}",
-    ]
-    return payload, lines
-
-
-_GROUP_CYCLIC_RE = re.compile(r"^c(\d+)$")
-_GROUP_PRODUCT_RE = re.compile(r"^c(\d+)xc(\d+)$")
-
-
-def _group_table_by_name(name: str) -> list[list[int]]:
-    if name == "s3":
-        return symmetric3_table()
-    m = _GROUP_CYCLIC_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise input_error("cyclic group order must be positive")
-        return cyclic_table(n)
-    m = _GROUP_PRODUCT_RE.match(name)
-    if m:
-        n1, n2 = int(m.group(1)), int(m.group(2))
-        if n1 < 1 or n2 < 1:
-            raise input_error("cyclic group orders must be positive")
-        return product_table(cyclic_table(n1), cyclic_table(n2))
-    raise input_error(
-        f"unknown group {name!r}; use cN, cNxcM, or s3"
+    return _plain(
+        {
+            "rank": check.rank,
+            "max_square_sum": check.max_square_sum,
+            "predicted": check.predicted,
+            "witness": list(check.witness.parts),
+            "attained": check.attained,
+        }
     )
 
 
-def cmd_gen(args) -> tuple[dict, list[str]]:
-    kind = args.kind
-    if kind == "matrix":
-        a = matrix_algebra(args.size)
-    elif kind == "upper-triangular":
-        a = upper_triangular(args.size)
-    elif kind == "dual-numbers":
-        a = dual_numbers()
-    elif kind == "quaternions":
-        pa = parse_rational_flag(args.a, "first quaternion parameter")
-        pb = parse_rational_flag(args.b, "second quaternion parameter")
-        a = quaternions(pa, pb)
-    elif kind == "group":
-        a = group_algebra(_group_table_by_name(args.name))
-    elif kind == "fixture":
-        try:
-            spec = fixture_by_name(args.name)
-        except KeyError:
-            names = ", ".join(s.name for s in fixtures())
-            raise input_error(f"unknown fixture {args.name!r}; available: {names}") from None
-        a = spec.build()
-    payload = a.to_json_dict()
-    # The bare output is itself the algebra JSON so it can be piped to a file
-    # and fed back into the file-based commands.
-    lines = [render_json(payload).rstrip("\n")]
-    return payload, lines
+_GROUP_RE = re.compile(r"^c(\d+)(?:xc(\d+))?$")
+
+
+def _group_table_by_name(name: str) -> list[list[int]]:
+    """The table of s3, of the cyclic group cN, or of the product cNxcM."""
+    if name == "s3":
+        return symmetric3_table()
+    m = _GROUP_RE.match(name)
+    if not m:
+        raise input_error(f"unknown group {name!r}; use cN, cNxcM, or s3")
+    orders = [int(n) for n in m.groups() if n is not None]
+    if min(orders) < 1:
+        raise input_error(f"cyclic group {'orders' if len(orders) == 2 else 'order'} must be positive")
+    tables = [cyclic_table(n) for n in orders]
+    return product_table(*tables) if len(tables) == 2 else tables[0]
+
+
+def _fixture(name: str) -> FDAlgebra:
+    try:
+        spec = fixture_by_name(name)
+    except KeyError:
+        names = ", ".join(s.name for s in fixtures())
+        raise input_error(f"unknown fixture {name!r}; available: {names}") from None
+    return spec.build()
+
+
+def _gen(build):
+    """The handler of one gen kind: the algebra build(args) as payload. The
+    bare output is itself the algebra JSON, so it can be piped to a file and
+    fed back into the file-based commands."""
+
+    def handler(args) -> tuple[dict, list[str]]:
+        payload = build(args).to_json_dict()
+        return payload, [render_json(payload).rstrip("\n")]
+
+    return handler
 
 
 # ---------------------------------------------------------------------------
@@ -507,10 +464,10 @@ _COMMANDS = (
         cmd_ed_nil_dim,
     ),
     (("ed", "partitions"), "maximize sum of squared parts", (_arg("--rank", type=int, required=True),), cmd_ed_partitions),
-    (("gen",), "emit a built-in algebra as JSON", (), cmd_gen),
-    (("gen", "matrix"), None, (_arg("size", type=int),), None),
-    (("gen", "upper-triangular"), None, (_arg("size", type=int),), None),
-    (("gen", "dual-numbers"), None, (), None),
+    (("gen",), "emit a built-in algebra as JSON", (), None),
+    (("gen", "matrix"), None, (_arg("size", type=int),), _gen(lambda args: matrix_algebra(args.size))),
+    (("gen", "upper-triangular"), None, (_arg("size", type=int),), _gen(lambda args: upper_triangular(args.size))),
+    (("gen", "dual-numbers"), None, (), _gen(lambda args: dual_numbers())),
     (
         ("gen", "quaternions"),
         None,
@@ -518,10 +475,25 @@ _COMMANDS = (
             _arg("a", help="square of the first generator, for example -1"),
             _arg("b", help="square of the second generator"),
         ),
-        None,
+        _gen(
+            lambda args: quaternions(
+                parse_rational_flag(args.a, "first quaternion parameter"),
+                parse_rational_flag(args.b, "second quaternion parameter"),
+            )
+        ),
     ),
-    (("gen", "group"), None, (_arg("name", help="cN, cNxcM, or s3"),), None),
-    (("gen", "fixture"), None, (_arg("name", help="name of a built-in fixture algebra"),), None),
+    (
+        ("gen", "group"),
+        None,
+        (_arg("name", help="cN, cNxcM, or s3"),),
+        _gen(lambda args: group_algebra(_group_table_by_name(args.name))),
+    ),
+    (
+        ("gen", "fixture"),
+        None,
+        (_arg("name", help="name of a built-in fixture algebra"),),
+        _gen(lambda args: _fixture(args.name)),
+    ),
 )
 
 

@@ -32,6 +32,7 @@ does not free them when the last outside reference goes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb, isqrt
 from typing import Iterator, Sequence
 
@@ -124,25 +125,10 @@ def _splitting_candidates(rows: Sequence[Vec]) -> Iterator[Vec]:
     """Deterministic candidate elements for the matrix size search (its only
     user): basis vectors, then two-term combinations with coefficients 1..3,
     then three-term combinations."""
-    for row in rows:
-        yield row
-    m = len(rows)
-    small = (Fraction(1), Fraction(2), Fraction(3))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for ca in small:
-                for cb in small:
-                    yield tuple(ca * x + cb * y for x, y in zip(rows[i], rows[j]))
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                for ca in small:
-                    for cb in small:
-                        for cc in small:
-                            yield tuple(
-                                ca * x + cb * y + cc * z
-                                for x, y, z in zip(rows[i], rows[j], rows[k])
-                            )
+    for k, small in ((1, (1,)), (2, (1, 2, 3)), (3, (1, 2, 3))):
+        for chosen in combinations(rows, k):
+            for coeffs in product(small, repeat=k):
+                yield tuple(sum(c * x for c, x in zip(coeffs, entries)) for entries in zip(*chosen))
 
 
 def _partial_fraction_idempotents(

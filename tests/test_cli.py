@@ -90,6 +90,9 @@ class TestGen:
         assert code == 2
         assert "unknown group" in err
 
+    def test_zero_order_in_a_product_group(self, capsys):
+        assert run(capsys, "gen", "group", "c2xc0") == (2, "", "error: cyclic group orders must be positive\n")
+
     def test_unknown_fixture_lists_choices(self, capsys):
         code, _, err = run(capsys, "gen", "fixture", "nope")
         assert code == 2
@@ -312,6 +315,17 @@ class TestLiftIdem:
             capsys, "lift-idem", path, "--idempotent", "[0.5,0]", "--ideal", "[[0,1]]"
         )
         assert code == 2
+
+    def test_idempotent_not_json(self, capsys, tmp_path):
+        path = write_algebra(capsys, tmp_path, "dual.json", "dual-numbers")
+        code, out, err = run(capsys, "lift-idem", path, "--idempotent", "[1,0", "--ideal", "[[0,1]]")
+        assert (code, out) == (2, "")
+        assert err == "error: --idempotent is not valid JSON: Expecting ',' delimiter: line 1 column 5 (char 4)\n"
+
+    def test_ideal_not_an_array(self, capsys, tmp_path):
+        path = write_algebra(capsys, tmp_path, "dual.json", "dual-numbers")
+        code, out, err = run(capsys, "lift-idem", path, "--idempotent", "[1,0]", "--ideal", "{}")
+        assert (code, out, err) == (2, "", "error: --ideal must be a JSON array of vectors\n")
 
     def test_bool_entries_rejected(self, capsys, tmp_path):
         path = write_algebra(capsys, tmp_path, "dual.json", "dual-numbers")

@@ -443,3 +443,20 @@ class TestCrossFormulaConsistency:
     def test_determinism(self):
         assert bundle_moduli_ed(2, 6, 4) == bundle_moduli_ed(2, 6, 4)
         assert bound_division(36, 6) == bound_division(36, 6)
+
+
+class TestInputChecks:
+    """Argument checks that raise before any bound is computed."""
+
+    def test_prime_factors_of_zero(self):
+        with pytest.raises(ValueError, match="^n must be a positive integer$"):
+            prime_factors(0)
+
+    def test_negative_rank_for_an_algebra(self):
+        w = wedderburn_decomposition(matrix_algebra(2))
+        with pytest.raises(ValueError, match="^rank must be positive$"):
+            bound_from_wedderburn(w, 2, r=-1)
+
+    def test_negative_genus(self):
+        with pytest.raises(ValueError, match="^genus must be nonnegative$"):
+            bundle_moduli_ed(-1, 2, 1)

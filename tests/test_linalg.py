@@ -423,3 +423,8 @@ class TestZeroRows:
 
     def test_zero_subspace_basis_has_ambient_width(self):
         assert Subspace(3, []).basis.shape() == (0, 3)
+
+
+def test_solve_linear_rejects_mismatched_row_counts():
+    with pytest.raises(ValueError, match="^row count mismatch between coefficient matrix and right side$"):
+        solve_linear(Mat.identity(2), Mat.zeros(3, 1))

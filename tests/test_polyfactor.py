@@ -207,3 +207,16 @@ class TestFactorRational:
         p = (X + Poly([1])) * (X + Poly([1])) * (X + Poly([1])) * Poly([1, 0, 1])
         out = factor_rational(p)
         assert out.factors == ((X + Poly([1]), 3), (Poly([1, 0, 1]), 1))
+
+
+class TestFactorModPInputs:
+    def test_zero_polynomial(self):
+        with pytest.raises(ValueError, match="^cannot factor the zero polynomial$"):
+            factor_mod_p(Poly([]), 3)
+
+    def test_denominator_divisible_by_the_prime(self):
+        with pytest.raises(BadPrimeError, match="^denominator 3 vanishes mod 3$"):
+            factor_mod_p(Poly([Fraction(1, 3), 1]), 3)
+
+    def test_nonzero_constant_has_no_factors(self):
+        assert factor_mod_p(Poly([5]), 3) == []
