@@ -259,8 +259,8 @@ _ASSERT_INDEX_RE = re.compile(r"^(\d+):(\d+)$")
 
 
 def _asserted_indices(specs: Sequence[str]) -> dict[int, int]:
-    """The --assert-index values as factor -> index. Checks their syntax and
-    that no factor gets two indices; the factor range needs the algebra."""
+    """The --assert-index values as factor -> index. Checks their syntax, index
+    >= 1 and that no factor gets two; the factor range needs the algebra."""
     asserted: dict[int, int] = {}
     for spec in specs:
         m = _ASSERT_INDEX_RE.match(spec)
@@ -269,6 +269,8 @@ def _asserted_indices(specs: Sequence[str]) -> dict[int, int]:
                 f"--assert-index expects FACTOR:INDEX with nonnegative integers, got {spec!r}"
             )
         pos, idx = int(m.group(1)), int(m.group(2))
+        if idx < 1:
+            raise input_error(f"--assert-index index must be positive, got {spec!r}")
         if asserted.setdefault(pos, idx) != idx:
             raise input_error(
                 f"--assert-index gives factor {pos} two indices, {asserted[pos]} and {idx}"

@@ -279,8 +279,9 @@ def minimal_polynomial(x: Sequence, multiply, one: Sequence) -> Poly:
     """Monic minimal polynomial of an algebra element: the first linear
     dependence among one, x, x^2, ..., with powers taken by the algebra's
     multiply and unit. The powers join one reduced echelon basis until one of
-    them is dependent. A square matrix's minimal polynomial is that of its
-    row-major flattening in matrix_algebra(n).
+    them is dependent, each formed as x^(i+1) = multiply(x^i, x), so a
+    caller's multiply can record them. A square matrix's minimal polynomial
+    is that of its row-major flattening in matrix_algebra(n).
     """
     rows: list = []
     pivots: list[int] = []

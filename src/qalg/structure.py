@@ -1,22 +1,23 @@
 """Structure theory: radical, semisimple quotient, simple factor data.
 
 The radical is the kernel of the trace form (characteristic zero makes the
-trace criterion exact); the semisimple quotient is then split into simple
-factors by the minimal polynomial of one primitive element of its center. That
-element is the first z_t = sum_i C(t, i) * b_i over the center's echelon basis
-with a minimal polynomial of degree m = dim center, and t <= (m-1) * m(m-1)/2
-is proven to suffice. The factors come in the order of that polynomial's
-irreducible factors from factor_rational: by degree, then coefficients.
+trace criterion exact). One split step finds both the simple factors of the
+semisimple quotient and their matrix sizes: an element z of a corner with
+unit e splits e into orthogonal idempotents, one per irreducible factor of
+z's minimal polynomial, by partial fractions on the powers of z that the
+minimal polynomial was found from (Ronyai 1990); no multiplication matrix is
+built. The center is split at the first z_t = sum_i C(t, i) * b_i over its
+echelon basis whose minimal polynomial has degree m = dim center, and t <=
+(m-1) * m(m-1)/2 is proven to suffice; the factors come in factor_rational's
+order of that polynomial's irreducible factors: by degree, then coefficients.
 
 The matrix size search certifies only split factors, n = degree over the
-center. It stays inside the quotient's coordinates: starting from a factor
-and its central idempotent, each pass splits the current Peirce corner with
-an idempotent found among deterministic candidates and keeps the smaller
-piece, so it certifies within floor(log2 degree) splits, or reports unknown
-(None) when a corner does not split. No factor or corner algebra is built,
-and repeated runs produce identical reports. A minimal polynomial is the
-first linear dependence among the powers of the element itself; no
-multiplication matrix is built.
+center. Starting from a factor's central idempotent, each pass splits the
+current Peirce corner at the first deterministic candidate with two or more
+pieces and keeps the piece of least trace, so it certifies within
+floor(log2 degree) splits, or reports unknown (None) when no candidate
+splits a corner. It stays in the quotient's coordinates: no factor or corner
+algebra is built, and repeated runs produce identical reports.
 
 A semisimple algebra's zero radical has the algebra itself as its quotient,
 not a copy. Radical, Wedderburn and central idempotent results, and the
@@ -69,7 +70,8 @@ class SimpleFactorData:
     degree_over_center is the integer with degree^2 * center_dim = factor_dim.
     matrix_size is the certified size n with factor = n x n matrices over a
     division algebra. Only split factors are certified, with n =
-    degree_over_center within floor(log2 degree) splits; otherwise it is None
+    degree_over_center, by a corner descent that keeps each split's
+    least-trace piece, within floor(log2 degree) splits; otherwise it is None
     (unknown), which does not certify a division algebra.
     """
 
@@ -131,27 +133,40 @@ def _splitting_candidates(rows: Sequence[Vec]) -> Iterator[Vec]:
                 yield tuple(sum(c * x for c, x in zip(coeffs, entries)) for entries in zip(*chosen))
 
 
-def _partial_fraction_idempotents(
-    a: FDAlgebra, z: Vec, one: Vec, minpoly: Poly, moduli: list[Poly]
-) -> list[Vec]:
-    """Orthogonal idempotents summing to `one`, one per pairwise coprime
-    modulus of the minimal polynomial, evaluated at z. Each idempotent is a
-    polynomial of degree below d = deg minpoly in z, so it is a combination
-    of the powers z^0 = one, ..., z^(d-1), which are formed once."""
-    powers = [one]
-    for _ in range(minpoly.degree() - 1):
-        powers.append(a.multiply(powers[-1], z))
-    out = []
-    for q in moduli:
-        g = minpoly // q
-        _, s, _ = (g % q).extended_gcd(q)
-        u = (g * (s % q)) % minpoly
+def _minpoly_and_powers(s: FDAlgebra, z: Vec, e: Vec) -> tuple[Poly, list[Vec]]:
+    """Minimal polynomial f of z in the corner with unit e, and the powers e,
+    z, ..., z^(deg f) that minimal_polynomial formed, recorded as it asks."""
+    powers = [e]
+
+    def multiply(x: Vec, y: Vec) -> Vec:
+        powers.append(s.multiply(x, y))
+        return powers[-1]
+
+    return minimal_polynomial(z, multiply, e), powers
+
+
+def _split(s: FDAlgebra, f: Poly, powers: Sequence[Vec]) -> list[Vec]:
+    """Orthogonal idempotents summing to e = powers[0], one per distinct
+    irreducible factor q^k of the minimal polynomial f of z = powers[1], in
+    factor_rational's order; one factor gives [e]. The piece of q^k is u(z)
+    for the partial fraction u = g * (g^-1 mod q^k) mod f with g = f / q^k,
+    which is 1 mod q^k and 0 mod the other factors; deg u < deg f, so u(z)
+    is a combination of the powers e, z, ..., z^(deg f - 1)."""
+    factors = factor_rational(f).factors
+    if len(factors) == 1:
+        return [powers[0]]
+    pieces = []
+    for factor in factors:
+        modulus = Factorization(Fraction(1), (factor,)).expand()
+        g = f // modulus
+        _, inverse, _ = (g % modulus).extended_gcd(modulus)
+        u = (g * (inverse % modulus)) % f
         terms = [(c, power) for c, power in zip(u.coeffs, powers) if c]
-        e = tuple(sum((c * power[k] for c, power in terms), Fraction(0)) for k in range(a.dim))
-        if a.multiply(e, e) != e:
-            raise InternalError("partial fraction idempotent failed")
-        out.append(e)
-    return out
+        p = tuple(sum((c * power[k] for c, power in terms), Fraction(0)) for k in range(s.dim))
+        if not any(p) or s.multiply(p, p) != p:
+            raise InternalError("a partial fraction piece is not a nonzero idempotent")
+        pieces.append(p)
+    return pieces
 
 
 @_memoized
@@ -184,31 +199,10 @@ def central_primitive_idempotents(s: FDAlgebra) -> tuple[Vec, ...]:
             sum((w * b[k] for w, b in zip(weights, basis)), Fraction(0))
             for k in range(s.dim)
         )
-        minpoly = minimal_polynomial(z, s.multiply, s.unit)
+        minpoly, powers = _minpoly_and_powers(s, z, s.unit)
         if minpoly.degree() == m:
-            irreducibles = [f for f, _ in factor_rational(minpoly).factors]
-            return tuple(
-                _partial_fraction_idempotents(s, z, s.unit, minpoly, irreducibles)
-            )
+            return tuple(_split(s, minpoly, powers))
     raise InternalError("no primitive element of the center within the proven bound")
-
-
-def _find_nontrivial_idempotent(s: FDAlgebra, corner: Subspace, e: Vec) -> Vec | None:
-    """First idempotent other than 0 and e in the corner algebra on `corner`
-    (unit e, the product of s), found by splitting minimal polynomials of
-    deterministic candidates, or None when every candidate's minimal
-    polynomial is a power of a single irreducible."""
-    for z in _splitting_candidates(corner.vectors()):
-        minpoly = minimal_polynomial(z, s.multiply, e)
-        fac = factor_rational(minpoly)
-        if len(fac.factors) < 2:
-            continue
-        first_modulus = Factorization(Fraction(1), fac.factors[:1]).expand()
-        p = _partial_fraction_idempotents(s, z, e, minpoly, [first_modulus])[0]
-        if p == s.zero() or p == e:
-            raise InternalError("split off a trivial idempotent")
-        return p
-    return None
 
 
 def _matrix_size_search(
@@ -219,20 +213,22 @@ def _matrix_size_search(
 
     A corner pFp of rank k in the factor F = M_n(D) is M_k(D), so only n =
     degree (D the center) can be certified, and one corner suffices: each
-    pass splits the current corner and keeps the corner of the piece whose
-    left multiplication on s has the smaller trace, so the rank at most
-    halves, and a split factor is certified within floor(log2 degree)
-    splits, when the corner has shrunk to the center's dimension. A corner
-    that does not split gives None.
+    pass splits the current corner at the first candidate with two or more
+    pieces and keeps the corner of the piece of least trace tr(L) on s, which
+    is proportional to rank, so the rank at most halves, and a split factor
+    is certified within floor(log2 degree) splits, when the corner has shrunk
+    to the center's dimension. A corner that no candidate splits gives None.
     """
     traces = s._traces()
     corner = factor_space
     while corner.dim > center_dim:
-        p = _find_nontrivial_idempotent(s, corner, e)
-        if p is None:
+        for z in _splitting_candidates(corner.vectors()):
+            pieces = _split(s, *_minpoly_and_powers(s, z, e))
+            if len(pieces) > 1:
+                break
+        else:
             return None
-        q = tuple(u - x for u, x in zip(e, p))
-        e = min(p, q, key=lambda x: sum(t * c for t, c in zip(traces, x)))
+        e = min(pieces, key=lambda x: sum(t * c for t, c in zip(traces, x)))
         right = [ve for (ve,) in s._pairwise_products(corner.vectors(), (e,))]
         corner = Subspace(s.dim, s._pairwise_products((e,), right)[0])
     if corner.dim < center_dim:

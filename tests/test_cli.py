@@ -617,6 +617,7 @@ class TestEdAlgebraFlagsFirst:
                 ("--d", "2", "--assert-index", "0:1", "--assert-index", "1:1", "--assert-index", "0:2"),
                 "--assert-index gives factor 0 two indices, 1 and 2",
             ),
+            (("--d", "2", "--assert-index", "0:0"), "--assert-index index must be positive, got '0:0'"),
         ],
     )
     def test_flags_checked_before_the_file(self, capsys, monkeypatch, flags, message):

@@ -113,6 +113,9 @@ def _calls():
         flags = [arg for spec in index for arg in ("--assert-index", spec)]
         calls += _both("ed", "algebra", "m2.json", "--d", "2", *flags)
         calls += _both("ed", "algebra", "quat.json", "--d", "2", *flags)
+    # an index below 1 is a flag error, found before the file is read
+    for path in ("m2.json", "missing.json"):
+        calls += _both("ed", "algebra", path, "--d", "2", "--assert-index", "0:0")
     calls += _both("ed", "csa", "--deg", "6", "--rank", "1/6")
     calls += _both("ed", "division", "--deg", "6", "--d", "4")
     calls += _both("ed", "karpenko", "--p", "2", "--n", "2", "--m", "1")

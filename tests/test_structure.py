@@ -250,20 +250,46 @@ class TestPrimitiveElementSplitting:
             central_primitive_idempotents(direct_product([rationals()] * 3))
 
 
+def split(a, z, e):
+    """The split step on z in the corner of a with unit e."""
+    return qalg.structure._split(a, *qalg.structure._minpoly_and_powers(a, z, e))
+
+
+class TestSplitStep:
+    def test_diagonal_matrix_splits_into_rank_one_idempotents(self):
+        m = matrix_algebra(3)
+        pieces = split(m, (1, 0, 0, 0, 2, 0, 0, 0, 3), m.unit)
+        assert len(pieces) == 3
+        assert tuple(map(sum, zip(*pieces))) == m.unit
+        for i, p in enumerate(pieces):
+            for j, q in enumerate(pieces):
+                assert m.multiply(p, q) == (p if i == j else m.zero())
+            assert reference_rank([p[0:3], p[3:6], p[6:9]], 3) == 1
+
+    def test_power_of_one_irreducible_gives_the_unit(self):
+        # 1 + E_12 in the corner of M_3 with unit e = E_11 + E_22 has minimal
+        # polynomial (x - 1)^2 there
+        m = matrix_algebra(3)
+        e = tuple(map(Fraction, (1, 0, 0, 0, 1, 0, 0, 0, 0)))
+        z = tuple(map(Fraction, (1, 1, 0, 0, 1, 0, 0, 0, 0)))
+        assert minimal_polynomial(z, m.multiply, e) == Poly([1, -2, 1])
+        pieces = split(m, z, e)
+        assert pieces == [e] and pieces[0] is e
+
+
 class TestChecksSurviveOptimize:
     def test_partial_fraction_check_raises_under_python_o(self):
-        # z = (1, 2) in Q x Q has minimal polynomial (x - 1)(x - 2); the
-        # modulus x - 3 does not divide it, so no idempotent comes out
+        # z = (1, 2) in Q x Q has minimal polynomial (x - 1)(x - 2); handed
+        # (x - 1)(x - 3) instead, the split step takes the modulus x - 3,
+        # which does not divide it, so no idempotent comes out
         program = (
             "from qalg.algebra import FDAlgebra, direct_product\n"
             "from qalg.poly import Poly\n"
-            "from qalg.structure import _partial_fraction_idempotents\n"
+            "from qalg.structure import _split\n"
             "q = FDAlgebra([[[1]]], [1])\n"
             "a = direct_product([q, q])\n"
             "try:\n"
-            "    _partial_fraction_idempotents(\n"
-            "        a, (1, 2), a.unit, Poly([2, -3, 1]), [Poly([-3, 1])]\n"
-            "    )\n"
+            "    _split(a, Poly([3, -4, 1]), [a.unit, (1, 2)])\n"
             "except AssertionError as exc:\n"
             "    print('raised:', exc)\n"
         )
@@ -277,7 +303,7 @@ class TestChecksSurviveOptimize:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "raised: partial fraction idempotent failed\n"
+        assert done.stdout == "raised: a partial fraction piece is not a nonzero idempotent\n"
 
 
 class TestMatrixSize:
@@ -374,24 +400,30 @@ def searched_algebras():
 
 
 def splits_per_factor(monkeypatch):
-    """Patch the search so that each factor's successful splits are counted
-    in a list of its own, in factor order."""
+    """Patch the search so that each factor's splits into two or more pieces
+    are counted in a list of its own, in factor order; splits of the center
+    are not counted."""
     counts = []
+    searching = []
     search = qalg.structure._matrix_size_search
-    find = qalg.structure._find_nontrivial_idempotent
+    split_step = qalg.structure._split
 
     def counting_search(*args):
         counts.append(0)
-        return search(*args)
+        searching.append(True)
+        try:
+            return search(*args)
+        finally:
+            searching.pop()
 
-    def counting_find(*args):
-        p = find(*args)
-        if p is not None:
+    def counting_split(*args):
+        pieces = split_step(*args)
+        if searching and len(pieces) > 1:
             counts[-1] += 1
-        return p
+        return pieces
 
     monkeypatch.setattr(qalg.structure, "_matrix_size_search", counting_search)
-    monkeypatch.setattr(qalg.structure, "_find_nontrivial_idempotent", counting_find)
+    monkeypatch.setattr(qalg.structure, "_split", counting_split)
     return counts
 
 
