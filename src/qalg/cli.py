@@ -11,8 +11,10 @@ elements, uncertified or conflicting index data).
 
 Each handler returns its payload and its text lines. The plain commands
 (validate, radical, lift-idem, ed nil-dim, ed partitions) write their text by
-one rule, _plain: a "key: value" line per payload entry; wedderburn, the ed
-bound reports and gen have text of their own.
+one rule, _plain: a "key: value" line per payload entry. The ed bound reports
+share _report's text; the formula commands (ed csa, division, karpenko, ckm,
+bundle) are table rows whose handlers are _bound(evaluate), as the gen kinds'
+are _gen(build). wedderburn and gen have text of their own.
 
 The parser is built per command from the table _COMMANDS: build_parser(argv)
 holds only the subcommand that argv names at each level, or all of them at a
@@ -239,20 +241,10 @@ def _report(report) -> tuple[dict, list[str]]:
     return report.to_json_dict(), lines
 
 
-def cmd_ed_csa(args) -> tuple[dict, list[str]]:
-    return _report(bound_csa(args.deg, parse_rational_flag(args.rank, "--rank")))
-
-
-def cmd_ed_division(args) -> tuple[dict, list[str]]:
-    return _report(bound_division(args.deg, args.d))
-
-
-def cmd_ed_karpenko(args) -> tuple[dict, list[str]]:
-    return _report(karpenko_value(args.p, args.n, args.m))
-
-
-def cmd_ed_ckm(args) -> tuple[dict, list[str]]:
-    return _report(ckm_value(args.deg))
+def _bound(evaluate):
+    """The handler of one ed formula command: the report evaluate(args) with
+    _report's payload and text."""
+    return lambda args: _report(evaluate(args))
 
 
 _ASSERT_INDEX_RE = re.compile(r"^(\d+):(\d+)$")
@@ -297,12 +289,6 @@ def cmd_ed_algebra(args) -> tuple[dict, list[str]]:
     except ValueError as exc:
         raise math_error(str(exc)) from exc
     return _report(report)
-
-
-def cmd_ed_bundle(args) -> tuple[dict, list[str]]:
-    return _report(
-        bundle_moduli_ed(args.genus, args.rank, args.degree, assume_ckm=args.assume_ckm)
-    )
 
 
 def cmd_ed_nil_dim(args) -> tuple[dict, list[str]]:
@@ -408,13 +394,13 @@ _COMMANDS = (
             _arg("--deg", type=int, required=True),
             _arg("--rank", required=True, help="rational rank, for example 1/3"),
         ),
-        cmd_ed_csa,
+        _bound(lambda args: bound_csa(args.deg, parse_rational_flag(args.rank, "--rank"))),
     ),
     (
         ("ed", "division"),
         "rank-1/d modules over a division algebra",
         (_arg("--deg", type=int, required=True), _arg("--d", type=int, required=True)),
-        cmd_ed_division,
+        _bound(lambda args: bound_division(args.deg, args.d)),
     ),
     (
         ("ed", "karpenko"),
@@ -424,9 +410,14 @@ _COMMANDS = (
             _arg("--n", type=int, required=True),
             _arg("--m", type=int, required=True),
         ),
-        cmd_ed_karpenko,
+        _bound(lambda args: karpenko_value(args.p, args.n, args.m)),
     ),
-    (("ed", "ckm"), "conjectural exact value for rank 1/deg", (_arg("--deg", type=int, required=True),), cmd_ed_ckm),
+    (
+        ("ed", "ckm"),
+        "conjectural exact value for rank 1/deg",
+        (_arg("--deg", type=int, required=True),),
+        _bound(lambda args: ckm_value(args.deg)),
+    ),
     (
         ("ed", "algebra"),
         "bound for rank-1/d modules over an algebra file",
@@ -454,7 +445,7 @@ _COMMANDS = (
             _arg("--degree", type=int, required=True),
             _arg("--assume-ckm", action="store_true"),
         ),
-        cmd_ed_bundle,
+        _bound(lambda args: bundle_moduli_ed(args.genus, args.rank, args.degree, assume_ckm=args.assume_ckm)),
     ),
     (
         ("ed", "nil-dim"),

@@ -20,6 +20,22 @@ from .structure import WedderburnReport
 
 KINDS = ("exact", "upper", "strict_upper", "conjectural_exact", "minus_infinity")
 
+_FORMULA_ONLY = (
+    "formula evaluation only; existence of a division algebra of"
+    " this degree over the base field is not checked",
+)
+
+def _integer(value, low: int, message: str) -> int:
+    """An integer argument (a degree, rank, genus, part, exponent or index)
+    as an int of at least low, else ValueError(message). It is read by rat,
+    so a float raises TypeError as there, and nothing is truncated."""
+    q = rat(value)
+    if q.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    if q < low:
+        raise ValueError(message)
+    return q.numerator
+
 
 @record
 class EdBoundReport:
@@ -53,11 +69,9 @@ class CSADescriptor:
     index: int | None = None
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be a positive integer")
+        _integer(self.degree, 1, "degree must be a positive integer")
         if self.index is not None:
-            if self.index < 1:
-                raise ValueError("index must be a positive integer")
+            _integer(self.index, 1, "index must be a positive integer")
             if self.degree % self.index != 0:
                 raise ValueError("index must divide the degree")
 
@@ -69,12 +83,10 @@ class Partition:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(_integer(p, 1, "partition parts must be positive") for p in self.parts)
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise ValueError("partition needs at least one part")
-        if any(p < 1 for p in parts):
-            raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
 
@@ -112,10 +124,7 @@ def vp(p: int, n: int) -> int:
 
 
 def _descriptor_degree(a: "CSADescriptor | int") -> int:
-    deg = a.degree if isinstance(a, CSADescriptor) else int(a)
-    if deg < 1:
-        raise ValueError("degree must be a positive integer")
-    return deg
+    return a.degree if isinstance(a, CSADescriptor) else _integer(a, 1, "degree must be a positive integer")
 
 
 def severi_brauer_dim(a: "CSADescriptor | int", r: Fraction) -> int:
@@ -137,33 +146,26 @@ def severi_brauer_dim(a: "CSADescriptor | int", r: Fraction) -> int:
 
 
 def bound_csa(a: "CSADescriptor | int", r: Fraction) -> EdBoundReport:
-    """Upper bound r*(1-r)*deg^2 for rank-r modules over a central simple
-    algebra of the given degree; minus_infinity when r*deg is not an
-    integer."""
-    deg = _descriptor_degree(a)
-    r = rat(r)
-    if not (0 < r < 1):
-        raise ValueError("rank must be strictly between 0 and 1")
-    if (r * deg).denominator != 1:
+    """Upper bound r*(1-r)*deg^2 = severi_brauer_dim(a, r) for rank-r modules
+    over a central simple algebra of the given degree; minus_infinity when
+    r*deg is not an integer."""
+    try:
+        value = severi_brauer_dim(a, r)
+    except RankNotRealizableError:
         return EdBoundReport(
             value=None,
             kind="minus_infinity",
             formula="ideal-variety-dimension",
-            assumptions=(f"rank {rat_to_str(r)} times degree {deg} is not an integer",),
+            assumptions=(f"rank {rat_to_str(r)} times degree {_descriptor_degree(a)} is not an integer",),
         )
-    return EdBoundReport(
-        value=r * (1 - r) * deg * deg,
-        kind="upper",
-        formula="ideal-variety-dimension",
-    )
+    return EdBoundReport(value=Fraction(value), kind="upper", formula="ideal-variety-dimension")
 
 
 def bound_matrix_over_simple(n: int, dim_b: int, r: Fraction) -> EdBoundReport:
     """Strict upper bound n*r*dim_b for rank-r modules over n x n matrices
     with simple coefficient algebra of rational dimension dim_b."""
     r = rat(r)
-    if n < 1 or dim_b < 1:
-        raise ValueError("matrix size and coefficient dimension must be positive")
+    n, dim_b = (_integer(x, 1, "matrix size and coefficient dimension must be positive") for x in (n, dim_b))
     if r <= 0:
         raise ValueError("rank must be positive")
     return EdBoundReport(
@@ -182,10 +184,8 @@ def _division_sum(deg: int, d: int, primes: Sequence[int]) -> int:
 def bound_division(deg_d: int, d: int) -> EdBoundReport:
     """Upper bound for rank-1/d modules over a division algebra of degree
     deg_d: sum over primes p | deg_d of p^(2*vp(deg_d/d)) * (p^vp(d) - 1)."""
-    if deg_d < 1:
-        raise ValueError("division algebra degree must be positive")
-    if d < 1:
-        raise ValueError("denominator must be positive")
+    deg_d = _integer(deg_d, 1, "division algebra degree must be positive")
+    d = _integer(d, 1, "denominator must be positive")
     if deg_d % d != 0:
         raise NotDivisorError(f"{d} does not divide the degree {deg_d}")
     return EdBoundReport(
@@ -198,36 +198,30 @@ def bound_division(deg_d: int, d: int) -> EdBoundReport:
 def karpenko_value(p: int, n: int, m: int) -> EdBoundReport:
     """Exact value p^(2(n-m)) * (p^m - 1) for rank-p^-m modules over a
     division algebra of prime power degree p^n."""
+    p = _integer(p, 2, f"{p} is not prime")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("degree exponent must be at least 1")
-    if m < 1 or m > n:
+    n = _integer(n, 1, "degree exponent must be at least 1")
+    m = _integer(m, 1, "denominator exponent must satisfy 1 <= m <= n")
+    if m > n:
         raise ValueError("denominator exponent must satisfy 1 <= m <= n")
     return EdBoundReport(
         value=Fraction(_division_sum(p**n, p**m, (p,))),
         kind="exact",
         formula="karpenko-prime-power-value",
-        assumptions=(
-            "formula evaluation only; existence of a division algebra of"
-            " this degree over the base field is not checked",
-        ),
+        assumptions=_FORMULA_ONLY,
     )
 
 
 def ckm_value(deg_d: int) -> EdBoundReport:
     """Conjecturally exact value sum over p | deg_d of (p^vp(deg_d) - 1) for
     rank-1/deg_d modules over a division algebra of degree deg_d."""
-    if deg_d < 1:
-        raise ValueError("division algebra degree must be positive")
+    deg_d = _integer(deg_d, 1, "division algebra degree must be positive")
     return EdBoundReport(
         value=Fraction(_division_sum(deg_d, deg_d, prime_factors(deg_d))),
         kind="conjectural_exact",
         formula="ckm-prime-decomposition-value",
-        assumptions=(
-            "formula evaluation only; existence of a division algebra of"
-            " this degree over the base field is not checked",
-        ),
+        assumptions=_FORMULA_ONLY,
     )
 
 
@@ -248,16 +242,14 @@ def bound_from_wedderburn(
     matrix size is uncertified, an asserted index (degree/n) may be supplied
     per factor; UnknownIndexError is raised otherwise.
     """
-    if d < 1:
-        raise ValueError("denominator must be a positive integer")
+    d = _integer(d, 1, "denominator must be a positive integer")
     explicit_rank = r is not None
-    if r is None:
-        r = Fraction(1, d)
-    else:
-        r = rat(r)
+    r = rat(r) if explicit_rank else Fraction(1, d)
     if r <= 0:
         raise ValueError("rank must be positive")
-    if asserted_indices is not None and len(asserted_indices) != len(w.factors):
+    if asserted_indices is None:
+        asserted_indices = [None] * len(w.factors)
+    elif len(asserted_indices) != len(w.factors):
         raise ValueError("asserted index list length must match the factor count")
 
     assumptions: list[str] = [f"module rank {rat_to_str(r)} on every factor"]
@@ -267,31 +259,27 @@ def bound_from_wedderburn(
             " rank-1/d pipeline"
         )
     total = Fraction(0)
-    for i, factor in enumerate(w.factors):
-        asserted = asserted_indices[i] if asserted_indices is not None else None
-        degree = factor.degree_over_center
+    for i, (factor, asserted) in enumerate(zip(w.factors, asserted_indices)):
+        # The factor's matrix size n: degree / index for an asserted index,
+        # else the certified size; an integral rank r needs no n.
+        degree, n, notes = factor.degree_over_center, factor.matrix_size, []
         if asserted is not None:
-            if asserted < 1 or degree % asserted != 0:
-                raise ValueError(
-                    f"factor {i}: asserted index {asserted} does not divide degree {degree}"
-                )
-            n_asserted = degree // asserted
-            if factor.matrix_size is not None and factor.matrix_size != n_asserted:
+            wrong = f"factor {i}: asserted index {asserted} does not divide degree {degree}"
+            if degree % _integer(asserted, 1, wrong) != 0:
+                raise ValueError(wrong)
+            if n is not None and n != degree // asserted:
                 raise ValueError(
                     f"factor {i}: asserted index {asserted} conflicts with the"
-                    f" certified matrix size {factor.matrix_size}"
+                    f" certified matrix size {n}"
                 )
-        if r.denominator == 1:
-            continue
-        if asserted is not None:
-            n = degree // asserted
-            assumptions.append(f"factor {i}: asserted index {asserted}")
-        elif factor.matrix_size is not None:
-            n = factor.matrix_size
-        else:
+            n, notes = degree // asserted, [f"factor {i}: asserted index {asserted}"]
+        elif n is None and r.denominator != 1:
             raise UnknownIndexError(
                 f"factor {i} has an uncertified matrix size and no asserted index"
             )
+        if r.denominator == 1:
+            continue
+        assumptions += notes
         d_prime = (n * r).denominator
         deg_div = degree // n
         if deg_div % d_prime != 0:
@@ -320,8 +308,7 @@ def bound_from_wedderburn(
 def vb_field_of_moduli_defect_bound(r: int) -> EdBoundReport:
     """Upper bound r - 1 for the essential dimension of a rank-r bundle over
     its field of moduli."""
-    if r < 1:
-        raise ValueError("rank must be a positive integer")
+    r = _integer(r, 1, "rank must be a positive integer")
     return EdBoundReport(
         value=Fraction(r - 1),
         kind="upper",
@@ -332,18 +319,15 @@ def vb_field_of_moduli_defect_bound(r: int) -> EdBoundReport:
 def nil_stack_dim(g: int, partition: Partition) -> int:
     """Dimension (g-1) * sum of squared parts of the stratum of nilpotent
     extensions with the given graded ranks, on a genus-g curve."""
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    return (g - 1) * partition.square_sum()
+    return (_integer(g, 0, "genus must be nonnegative") - 1) * partition.square_sum()
 
 
 def trdeg_bound_indecomposable(g: int, partition: Partition) -> EdBoundReport:
     """Upper bound 1 + (g-1) * sum of squared parts for the transcendence
-    degree of the field of moduli of an indecomposable iterated extension."""
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
+    degree of the field of moduli of an indecomposable iterated extension:
+    one more than nil_stack_dim(g, partition)."""
     return EdBoundReport(
-        value=Fraction(1 + (g - 1) * partition.square_sum()),
+        value=Fraction(1 + nil_stack_dim(g, partition)),
         kind="upper",
         formula="moduli-trdeg-indecomposable",
     )
@@ -352,10 +336,8 @@ def trdeg_bound_indecomposable(g: int, partition: Partition) -> EdBoundReport:
 def trdeg_bound_nonsimple(g: int, r: int) -> EdBoundReport:
     """Upper bound (g-1)(r^2 - r) + 2 over all proper decompositions of
     rank r into at least two parts."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    if r < 2:
-        raise ValueError("rank must be at least 2")
+    g = _integer(g, 2, "genus must be at least 2")
+    r = _integer(r, 2, "rank must be at least 2")
     return EdBoundReport(
         value=Fraction((g - 1) * (r * r - r) + 2),
         kind="upper",
@@ -386,8 +368,7 @@ class PartitionCheck:
 def partition_square_sum_check(r: int) -> PartitionCheck:
     """Maximize the sum of squared parts over partitions of r with at least
     two parts; the maximum is r^2 - 2r + 2, attained at (r-1, 1)."""
-    if r < 2:
-        raise ValueError("rank must be at least 2")
+    r = _integer(r, 2, "rank must be at least 2")
     best = None
     witness = None
     # >= keeps the last maximizer, which in descending lexicographic
@@ -420,29 +401,13 @@ def bundle_moduli_ed(g: int, r: int, d: int, assume_ckm: bool = False) -> EdBoun
     (gcd(r, 0) = r); that is an upper bound unconditionally and exact under
     the conjectural prime-decomposition value, recorded as an assumption.
     """
-    if g < 0:
-        raise ValueError("genus must be nonnegative")
-    if r < 1:
-        raise ValueError("rank must be a positive integer")
-    if g == 0:
-        return EdBoundReport(
-            value=Fraction(0), kind="exact", formula="bundle-moduli-genus-0"
-        )
-    if g == 1:
-        return EdBoundReport(
-            value=Fraction(r), kind="exact", formula="bundle-moduli-genus-1"
-        )
-    h = r if d == 0 else gcd(r, abs(d))
-    total = (g - 1) * r * r + 1 + ckm_value(h).value
-    if assume_ckm:
-        return EdBoundReport(
-            value=total,
-            kind="exact",
-            formula="bundle-moduli-genus-formula",
-            assumptions=("assumes the conjectural prime-decomposition value for division algebras",),
-        )
+    g = _integer(g, 0, "genus must be nonnegative")
+    r = _integer(r, 1, "rank must be a positive integer")
+    if g < 2:
+        return EdBoundReport(value=Fraction(g * r), kind="exact", formula=f"bundle-moduli-genus-{g}")
     return EdBoundReport(
-        value=total,
-        kind="upper",
+        value=(g - 1) * r * r + 1 + ckm_value(gcd(r, d)).value,
+        kind="exact" if assume_ckm else "upper",
         formula="bundle-moduli-genus-formula",
+        assumptions=("assumes the conjectural prime-decomposition value for division algebras",) if assume_ckm else (),
     )

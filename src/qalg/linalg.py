@@ -281,8 +281,10 @@ def minimal_polynomial(x: Sequence, multiply, one: Sequence) -> Poly:
     multiply and unit. The powers join one reduced echelon basis until one of
     them is dependent, each formed as x^(i+1) = multiply(x^i, x), so a
     caller's multiply can record them. A square matrix's minimal polynomial
-    is that of its row-major flattening in matrix_algebra(n).
+    is that of its row-major flattening in matrix_algebra(n). Entries may be
+    ints, strings or Fractions.
     """
+    x, one = as_vector(x), as_vector(one)
     rows: list = []
     pivots: list[int] = []
     power = one

@@ -3,8 +3,9 @@ code, stdout and stderr, byte for byte, as stored in cli_transcript.json.
 
 The calls cover the key: value commands (validate, radical, lift-idem,
 ed nil-dim, ed partitions) in text and --json mode on algebras with a zero
-and a nonzero radical, every gen kind, the JSON argument errors of lift-idem
-and the --assert-index errors of ed algebra. argparse's own usage and help
+and a nonzero radical, every gen kind, the JSON argument errors of lift-idem,
+the --assert-index errors of ed algebra, and each branch of the ed formula
+commands and of ed algebra's per-factor index. argparse's own usage and help
 text is left out: it differs between Python versions, and
 TestParserPerCommand in test_cli.py covers it.
 
@@ -122,6 +123,26 @@ def _calls():
     calls += _both("ed", "ckm", "--deg", "12")
     calls += _both("ed", "bundle", "--genus", "2", "--rank", "2", "--degree", "0")
     calls += _both("validate", "missing.json")
+    # every branch of the formula commands and of the per-factor index in
+    # ed algebra: minus infinity, out-of-range values, rank overrides and
+    # asserted indices that hold, conflict or do not divide the degree
+    for rank in ("1/4", "1"):
+        calls += _both("ed", "csa", "--deg", "6", "--rank", rank)
+    calls += _both("ed", "csa", "--deg", "0", "--rank", "1/2")
+    calls += _both("ed", "division", "--deg", "6", "--d", "3")
+    calls += _both("ed", "karpenko", "--p", "4", "--n", "2", "--m", "1")
+    calls += _both("ed", "karpenko", "--p", "3", "--n", "2", "--m", "3")
+    for deg in ("0", "1"):
+        calls += _both("ed", "ckm", "--deg", deg)
+    for genus in ("0", "1"):
+        calls += _both("ed", "bundle", "--genus", genus, "--rank", "3", "--degree", "1")
+    calls += _both("ed", "bundle", "--genus", "3", "--rank", "4", "--degree", "6", "--assume-ckm")
+    calls += _both("ed", "bundle", "--genus", "-1", "--rank", "2", "--degree", "0")
+    for rank in ("2", "1/3"):
+        calls += _both("ed", "algebra", "m2.json", "--d", "2", "--rank", rank)
+    calls += _both("ed", "algebra", "quat.json", "--d", "2", "--assert-index", "0:2")
+    for spec in ("0:2", "0:3"):
+        calls += _both("ed", "algebra", "m2.json", "--d", "2", "--assert-index", spec)
     return calls
 
 

@@ -440,6 +440,23 @@ class TestCrossFormulaConsistency:
                 lhs = trdeg_bound_nonsimple(g, r).value + (r - 1)
                 assert lhs <= (g - 1) * r * r + 1
 
+    def test_csa_bound_is_the_ideal_variety_dimension(self):
+        for deg in range(1, 13):
+            for k in range(1, deg):
+                r = Fraction(k, deg)
+                assert bound_csa(deg, r).value == severi_brauer_dim(deg, r)
+        # minus infinity exactly when r * deg is not an integer
+        for deg in range(1, 13):
+            for r in (Fraction(k, q) for q in range(2, 13) for k in range(1, q)):
+                assert (bound_csa(deg, r).kind == "minus_infinity") == ((r * deg).denominator != 1)
+
+    def test_indecomposable_trdeg_is_one_more_than_the_nil_stack(self):
+        for g in range(5):
+            for n in range(1, 7):
+                for parts in enumerate_partitions(n):
+                    p = Partition(parts)
+                    assert trdeg_bound_indecomposable(g, p).value == 1 + nil_stack_dim(g, p)
+
     def test_determinism(self):
         assert bundle_moduli_ed(2, 6, 4) == bundle_moduli_ed(2, 6, 4)
         assert bound_division(36, 6) == bound_division(36, 6)
@@ -460,3 +477,52 @@ class TestInputChecks:
     def test_negative_genus(self):
         with pytest.raises(ValueError, match="^genus must be nonnegative$"):
             bundle_moduli_ed(-1, 2, 1)
+
+
+class TestNoFloats:
+    """A float degree, rank, genus or part raises TypeError, as rat does: it
+    is neither truncated nor carried into a report."""
+
+    FLOATS = "^floats are not exact"
+
+    def test_bundle_rank(self):
+        with pytest.raises(TypeError, match=self.FLOATS):
+            bundle_moduli_ed(2, 2.5, 0)
+
+    def test_partition_part(self):
+        with pytest.raises(TypeError, match=self.FLOATS):
+            Partition((2.7, 1))
+
+    def test_descriptor_degree(self):
+        with pytest.raises(TypeError, match=self.FLOATS):
+            CSADescriptor(2.5)
+
+    def test_csa_degree(self):
+        with pytest.raises(TypeError, match=self.FLOATS):
+            bound_csa(2.5, "1/2")
+
+    def test_division_degree(self):
+        with pytest.raises(TypeError, match=self.FLOATS):
+            bound_division(6.0, 3)
+
+    def test_other_integer_arguments(self):
+        for call in (
+            lambda: karpenko_value(2, 2.0, 1),
+            lambda: ckm_value(6.0),
+            lambda: bound_from_wedderburn(rationals_report(), 2.0),
+            lambda: bound_from_wedderburn(wedderburn_decomposition(quaternions(-1, -1)), 2, [2.0]),
+            lambda: nil_stack_dim(2.0, Partition((1,))),
+            lambda: trdeg_bound_nonsimple(2, 3.0),
+            lambda: partition_square_sum_check(4.0),
+            lambda: vb_field_of_moduli_defect_bound(2.0),
+            lambda: bound_matrix_over_simple(2.0, 1, 1),
+            lambda: bundle_moduli_ed(2, 2, 0.0),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_non_integral_rational_is_not_truncated(self):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Partition((Fraction(5, 2), 1))
+        with pytest.raises(ValueError, match="is not an integer"):
+            bound_csa(Fraction(5, 2), "1/2")

@@ -332,6 +332,16 @@ class TestMinimalPolynomial:
         with pytest.raises(ValueError):
             matrix_minimal_polynomial(Mat([[1, 2]]))
 
+    def test_integer_entries(self):
+        # x = [[1, 1, 0], [0, 1, 0], [0, 0, 0]] is (x - 1)^2 in the corner of
+        # e = diag(1, 1, 0) and x (x - 1)^2 in M_3; int entries give what
+        # Fractions give
+        multiply = matrix_algebra(3).multiply
+        x = (1, 1, 0, 0, 1, 0, 0, 0, 0)
+        for one, expected in (((1, 0, 0, 0, 1, 0, 0, 0, 0), [1, -2, 1]), ((1, 0, 0, 0, 1, 0, 0, 0, 1), [0, 1, -2, 1])):
+            assert minimal_polynomial(x, multiply, one) == Poly(expected)
+            assert minimal_polynomial(as_vector(x), multiply, as_vector(one)) == Poly(expected)
+
 
 class TestMatBasics:
     def test_matmul_shapes_and_values(self):
