@@ -546,7 +546,20 @@ def _run(args) -> tuple[dict, list[str]]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    # Python caps int-to-str conversion at 4300 digits to guard parsers of
+    # untrusted text; a result computed here is printed whole. The previous
+    # cap is restored on return, as main also runs in-process.
+    previous = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _main(sys.argv[1:] if argv is None else list(argv))
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
+def _main(argv: list[str]) -> int:
     args = build_parser(argv).parse_args(argv)
     as_json = getattr(args, "json", False)
     try:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 from ._record import record
 from .errors import InternalError, NotDivisorError, RankNotRealizableError, UnknownIndexError
 from .linalg import rat, rat_to_str
-from .polyfactor import _least_factor, is_prime
+from .polyfactor import is_prime, prime_factors, vp
 from .structure import WedderburnReport
 
 KINDS = ("exact", "upper", "strict_upper", "conjectural_exact", "minus_infinity")
@@ -95,32 +95,6 @@ class Partition:
 
     def square_sum(self) -> int:
         return sum(p * p for p in self.parts)
-
-
-def prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime divisors in increasing order."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    out = []
-    while n > 1:
-        p = _least_factor(n)
-        out.append(p)
-        while n % p == 0:
-            n //= p
-    return tuple(out)
-
-
-def vp(p: int, n: int) -> int:
-    """p-adic valuation of a positive integer."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("valuation is defined for positive integers")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def _descriptor_degree(a: "CSADescriptor | int") -> int:

@@ -6,6 +6,9 @@ Mignotte coefficient bound, then subset recombination. Every step is
 deterministic: primes are tried in increasing order starting at 3, Berlekamp
 splits with kernel basis vectors and shifts c = 0, 1, ..., p-1 in order, and
 factor lists are sorted by degree then coefficients.
+
+The package's integer factoring lives here too: one trial division,
+_least_factor, serves is_prime, prime_factors and vp.
 """
 
 from __future__ import annotations
@@ -206,8 +209,6 @@ def _gf_kernel(m: list[list[int]], p: int) -> list[list[int]]:
 def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     """Monic irreducible factors of a monic squarefree f over GF(p)."""
     n = len(f) - 1
-    if n <= 1:
-        return [f]
     xp = _gf_pow_mod([0, 1], p, f, p)
     rows = []
     cur = [1]
@@ -266,6 +267,32 @@ def _least_factor(n: int) -> int:
 
 def is_prime(n: int) -> bool:
     return n >= 2 and _least_factor(n) == n
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime divisors in increasing order."""
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    out = []
+    while n > 1:
+        p = _least_factor(n)
+        out.append(p)
+        while n % p == 0:
+            n //= p
+    return tuple(out)
+
+
+def vp(p: int, n: int) -> int:
+    """p-adic valuation of a positive integer."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if n < 1:
+        raise ValueError("valuation is defined for positive integers")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def _odd_primes():
@@ -382,16 +409,6 @@ def _hensel_lift_list(f: list[int], fs: list[list[int]], p: int, target: int) ->
 
 def _factor_squarefree_monic(s: Poly) -> list[Poly]:
     """Monic irreducible rational factors of a monic squarefree polynomial."""
-    factors: list[Poly] = []
-    if s.degree() >= 1 and s.coeffs[0] == 0:
-        factors.append(Poly([0, 1]))
-        s = s // Poly([0, 1])
-    if s.degree() == 0:
-        return factors
-    if s.degree() == 1:
-        factors.append(s)
-        return factors
-
     # Clear denominators, then apply the monic transform T(x) = l^(n-1) S(x/l)
     # so Hensel lifting and recombination run entirely with monic integers.
     denom_lcm = 1
@@ -407,9 +424,6 @@ def _factor_squarefree_monic(s: Poly) -> list[Poly]:
 
     modular = _berlekamp([c % prime for c in t_poly], prime)
     modular.sort(key=lambda u: (len(u), u))
-    if len(modular) == 1:
-        factors.append(s)
-        return factors
 
     # Mignotte-style bound: any monic integer factor of T has coefficients of
     # absolute value at most 2^n * ||T||_2.
@@ -447,11 +461,7 @@ def _factor_squarefree_monic(s: Poly) -> list[Poly]:
 
     # Undo the monic transform: a factor g(x) of T corresponds to the monic
     # rational factor of s with coefficients g_k * l^(k - deg g).
-    for gpoly in found_t:
-        d = len(gpoly) - 1
-        coeffs = [Fraction(gpoly[k], ell ** (d - k)) for k in range(d + 1)]
-        factors.append(Poly(coeffs))
-    return factors
+    return [Poly([Fraction(c, ell ** (len(g) - 1 - k)) for k, c in enumerate(g)]) for g in found_t]
 
 
 def factor_rational(p: Poly) -> Factorization:

@@ -396,6 +396,21 @@ class TestEdFormulas:
             {"status": "ok", "payload": karpenko_value(2, 2, 1).to_json_dict()}
         )
 
+    def test_karpenko_value_past_the_digit_cap(self, capsys):
+        # 2^14398 has 4335 digits, past the 4300 that Python converts between
+        # int and str by default; main lifts that cap only while it runs.
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run(capsys, "ed", "karpenko", "--p", "2", "--n", "7200", "--m", "1")
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+        digits = out.splitlines()[0].removeprefix("value: ")
+        # read in chunks, each under the cap
+        value = 0
+        for start in range(0, len(digits), 1000):
+            chunk = digits[start : start + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert len(digits) == 4335 and value == 2**14398
+
     def test_karpenko_range_violation(self, capsys):
         code, _, _ = run(capsys, "ed", "karpenko", "--p", "2", "--n", "2", "--m", "0")
         assert code == 2
@@ -640,7 +655,8 @@ def test_import_leaves_dataclasses_out():
     """Every qalg process imports qalg.cli; dataclasses (with inspect, ast,
     dis and tokenize) and its exec-built methods were most of that import."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, qalg.cli; sys.exit('dataclasses' in sys.modules)"
+    unloaded = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, qalg.cli; sys.exit([m for m in {unloaded!r} if m in sys.modules] or None)"
     # -S: no site-packages start-up hook imports anything before qalg does.
     result = subprocess.run([sys.executable, "-S", "-c", code], env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.returncode == 0

@@ -143,6 +143,8 @@ def _calls():
     calls += _both("ed", "algebra", "quat.json", "--d", "2", "--assert-index", "0:2")
     for spec in ("0:2", "0:3"):
         calls += _both("ed", "algebra", "m2.json", "--d", "2", "--assert-index", spec)
+    # an exact value past Python's 4300-digit cap on int-to-str conversion
+    calls += _both("ed", "karpenko", "--p", "2", "--n", "7200", "--m", "1")
     return calls
 
 

@@ -160,6 +160,13 @@ class TestFactorRational:
             assert out.factors == ((p.monic(), 1),), f"{p} did not come back irreducible"
 
     def test_remultiplication_on_pool_products(self):
+        # x(x - 1)(x^2 + 1) has the factor x, 3x - 2 is linear and not monic,
+        # and x^2 + 1 stays irreducible modulo 3, the first prime tried.
+        cases = [
+            (X * (X - Poly([1])) * Poly([1, 0, 1]), {X: 1, X - Poly([1]): 1, Poly([1, 0, 1]): 1}),
+            (Poly([-2, 3]), {Poly([Fraction(-2, 3), 1]): 1}),
+            (Poly([1, 0, 1]), {Poly([1, 0, 1]): 1}),
+        ]
         rng = random.Random(2)
         for _ in range(60):
             chosen = rng.sample(range(len(IRREDUCIBLE_POOL)), rng.randint(1, 3))
@@ -171,6 +178,8 @@ class TestFactorRational:
                 expected[f.monic()] = mult
                 for _ in range(mult):
                     p = p * f
+            cases.append((p, expected))
+        for p, expected in cases:
             out = factor_rational(p)
             assert out.expand() == p
             assert dict(out.factors) == expected

@@ -5,6 +5,7 @@ fields and defaults, built here: the package itself does not import
 ``dataclasses``."""
 
 import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,12 @@ class TestAgainstDataclass:
             with pytest.raises(AttributeError):
                 delattr(record, name)
         assert repr(record) == repr(cls(*args))
+
+    def test_signature(self, cls, fields, args, other):
+        def parameters(c):
+            return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+        assert parameters(cls) == parameters(oracle(cls, fields))
 
     def test_bad_arguments(self, cls, fields, args, other):
         ref = oracle(cls, fields)
