@@ -14,7 +14,8 @@ from typing import Iterator, Sequence
 
 from ._record import record
 from .errors import InternalError, NotDivisorError, RankNotRealizableError, UnknownIndexError
-from .linalg import rat, rat_to_str
+from .linalg import rat_to_str
+from .poly import _integer, rat
 from .polyfactor import is_prime, prime_factors, vp
 from .structure import WedderburnReport
 
@@ -24,17 +25,6 @@ _FORMULA_ONLY = (
     "formula evaluation only; existence of a division algebra of"
     " this degree over the base field is not checked",
 )
-
-def _integer(value, low: int, message: str) -> int:
-    """An integer argument (a degree, rank, genus, part, exponent or index)
-    as an int of at least low, else ValueError(message). It is read by rat,
-    so a float raises TypeError as there, and nothing is truncated."""
-    q = rat(value)
-    if q.denominator != 1:
-        raise ValueError(f"{value!r} is not an integer")
-    if q < low:
-        raise ValueError(message)
-    return q.numerator
 
 
 @record

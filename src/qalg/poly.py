@@ -18,6 +18,19 @@ def rat(x) -> Fraction:
     return Fraction(x)
 
 
+def _integer(value, low: int | None = None, message: str = "") -> int:
+    """An integer argument (a degree, rank, genus, part, exponent, index,
+    prime or number to factor) as an int. It is read by rat, so a float
+    raises TypeError as there, a non-integer ValueError, and nothing is
+    truncated; with low, a value below it raises ValueError(message)."""
+    q = rat(value)
+    if q.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    if low is not None and q < low:
+        raise ValueError(message)
+    return q.numerator
+
+
 class Poly:
     """Immutable rational polynomial."""
 
@@ -58,6 +71,8 @@ class Poly:
         return hash(self.coeffs)
 
     def __add__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -67,6 +82,8 @@ class Poly:
         return Poly(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self) -> "Poly":
@@ -108,9 +125,13 @@ class Poly:
         return Poly(quo), Poly(rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self.divmod(other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self.divmod(other)[1]
 
     def monic(self) -> "Poly":

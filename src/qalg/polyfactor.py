@@ -1,11 +1,12 @@
 """Factorization of rational polynomials.
 
-Pipeline: Yun squarefree decomposition over the rationals, Berlekamp
-factorization modulo a small odd prime, quadratic Hensel lifting past the
-Mignotte coefficient bound, then subset recombination. Every step is
-deterministic: primes are tried in increasing order starting at 3, Berlekamp
-splits with kernel basis vectors and shifts c = 0, 1, ..., p-1 in order, and
-factor lists are sorted by degree then coefficients.
+Pipeline: the squarefree part f / gcd(f, f') by one gcd over the rationals,
+one modular step shared with factor_mod_p (Berlekamp modulo the least odd
+prime that keeps it squarefree), quadratic Hensel lifting past the Mignotte
+bound, subset recombination, and multiplicities counted by division. Every
+step is deterministic: primes are tried in increasing order, Berlekamp splits
+with kernel basis vectors and shifts c = 0, 1, ..., p-1 in order, and factor
+lists are sorted by degree then coefficients.
 
 The package's integer factoring lives here too: one trial division,
 _least_factor, serves is_prime, prime_factors and vp.
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 from ._record import record
 from .errors import BadPrimeError, InternalError
-from .poly import Poly
+from .poly import Poly, _integer
 
 
 @record
@@ -35,32 +36,6 @@ class Factorization:
             for _ in range(m):
                 out = out * f
         return out
-
-
-def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm. Parts are monic, squarefree, pairwise coprime, and
-    their product with multiplicities reproduces p up to a nonzero scalar."""
-    if p.is_zero():
-        raise ValueError("squarefree decomposition of the zero polynomial")
-    g = p.monic()
-    if g.degree() == 0:
-        return []
-    parts: list[tuple[Poly, int]] = []
-    deriv = g.derivative()
-    a = g.gcd(deriv)
-    b = g // a
-    c = deriv // a
-    d = c - b.derivative()
-    i = 1
-    while b.degree() > 0:
-        part = b.gcd(d)
-        if part.degree() > 0:
-            parts.append((part.monic(), i))
-        b = b // part
-        c = d // part
-        d = c - b.derivative()
-        i += 1
-    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -107,12 +82,13 @@ def _z_mod(a: list[int], m: int) -> list[int]:
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder mod p, where b's leading coefficient is a unit."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     rem = list(a)
     db, da = len(b) - 1, len(a) - 1
     if da < db:
-        return [], _z_trim(rem)
+        return [], _z_mod(rem, p)
     inv = pow(b[-1], -1, p)
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
@@ -163,11 +139,6 @@ def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
         cur = _gf_divmod(_z_mod(_z_mul(cur, cur), p), mod, p)[1]
         e >>= 1
     return result
-
-
-def _gf_is_squarefree(a: list[int], p: int) -> bool:
-    """Whether a is coprime to its derivative mod p."""
-    return len(_gf_gcd(a, _z_trim([(i * c) % p for i, c in enumerate(a)][1:]), p)) == 1
 
 
 def _gf_kernel(m: list[list[int]], p: int) -> list[list[int]]:
@@ -253,6 +224,16 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     return [_gf_monic(u, p) for u in factors]
 
 
+def _modular_factors(f: list[int], p: int) -> list[list[int]] | None:
+    """Monic irreducible factors mod p of a nonconstant integer polynomial f
+    whose leading coefficient p does not divide, sorted by degree then
+    coefficients; None when f is not squarefree mod p."""
+    g = _gf_monic(_z_mod(f, p), p)
+    if len(_gf_gcd(g, _z_trim([(i * c) % p for i, c in enumerate(g)][1:]), p)) != 1:
+        return None
+    return sorted(_berlekamp(g, p), key=lambda u: (len(u), u))
+
+
 def _least_factor(n: int) -> int:
     """Least divisor d >= 2 of an integer n >= 2, by trial division."""
     if n % 2 == 0:
@@ -266,13 +247,13 @@ def _least_factor(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
+    n = _integer(n)
     return n >= 2 and _least_factor(n) == n
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
     """Distinct prime divisors in increasing order."""
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    n = _integer(n, 1, "n must be a positive integer")
     out = []
     while n > 1:
         p = _least_factor(n)
@@ -284,10 +265,10 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 def vp(p: int, n: int) -> int:
     """p-adic valuation of a positive integer."""
+    p = _integer(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if n < 1:
-        raise ValueError("valuation is defined for positive integers")
+    n = _integer(n, 1, "valuation is defined for positive integers")
     v = 0
     while n % p == 0:
         n //= p
@@ -321,15 +302,12 @@ def factor_mod_p(p: Poly, prime: int) -> list[Poly]:
         red.append((c.numerator * pow(c.denominator, -1, prime)) % prime)
     if red[-1] == 0:
         raise BadPrimeError(f"leading coefficient vanishes mod {prime}")
-    f = _gf_monic(_z_trim(red), prime)
-    if len(f) - 1 == 0:
+    if p.degree() == 0:
         return []
-    if not _gf_is_squarefree(f, prime):
+    factors = _modular_factors(red, prime)
+    if factors is None:
         raise BadPrimeError(f"not squarefree mod {prime}")
-    factors = _berlekamp(f, prime)
-    polys = [Poly([Fraction(c) for c in u]) for u in factors]
-    polys.sort(key=lambda q: q.sort_key())
-    return polys
+    return [Poly(u) for u in factors]
 
 
 # ---------------------------------------------------------------------------
@@ -364,19 +342,24 @@ def _symmetric(a: list[int], m: int) -> list[int]:
     return _z_trim(out)
 
 
+def _product_mod(fs: list[list[int]], m: int) -> list[int]:
+    out = [1]
+    for u in fs:
+        out = _z_mod(_z_mul(out, u), m)
+    return out
+
+
 def _hensel_step(f, g, h, s, t, m):
     """One quadratic lift: from f = g h and s g + t h = 1 (mod m) to the same
     congruences mod m*m. All polynomials monic where required, coefficients
     kept reduced mod m*m."""
     m2 = m * m
     e = _z_mod(_z_sub(f, _z_mul(g, h)), m2)
-    q, r = _z_divmod_monic(_z_mul(s, e), h)
-    q, r = _z_mod(q, m2), _z_mod(r, m2)
+    q, r = _gf_divmod(_z_mul(s, e), h, m2)
     g1 = _z_mod(_z_add(g, _z_add(_z_mul(t, e), _z_mul(q, g))), m2)
     h1 = _z_mod(_z_add(h, r), m2)
     b = _z_mod(_z_sub(_z_add(_z_mul(s, g1), _z_mul(t, h1)), [1]), m2)
-    c, d = _z_divmod_monic(_z_mul(s, b), h1)
-    c, d = _z_mod(c, m2), _z_mod(d, m2)
+    c, d = _gf_divmod(_z_mul(s, b), h1, m2)
     s1 = _z_mod(_z_sub(s, d), m2)
     t1 = _z_mod(_z_sub(t, _z_add(_z_mul(t, b), _z_mul(c, g1))), m2)
     if not (g1 and g1[-1] % m2 == 1 and h1 and h1[-1] % m2 == 1) or _z_mod(_z_sub(f, _z_mul(g1, h1)), m2):
@@ -391,12 +374,8 @@ def _hensel_lift_list(f: list[int], fs: list[list[int]], p: int, target: int) ->
     if len(fs) == 1:
         return [_z_mod(f, target)]
     k = len(fs) // 2
-    g: list[int] = [1]
-    for u in fs[:k]:
-        g = _z_mod(_z_mul(g, u), p)
-    h: list[int] = [1]
-    for u in fs[k:]:
-        h = _z_mod(_z_mul(h, u), p)
+    g = _product_mod(fs[:k], p)
+    h = _product_mod(fs[k:], p)
     one, s, t = _gf_extgcd(g, h, p)
     if one != [1]:
         raise InternalError("modular factors are not coprime")
@@ -411,19 +390,17 @@ def _factor_squarefree_monic(s: Poly) -> list[Poly]:
     """Monic irreducible rational factors of a monic squarefree polynomial."""
     # Clear denominators, then apply the monic transform T(x) = l^(n-1) S(x/l)
     # so Hensel lifting and recombination run entirely with monic integers.
-    denom_lcm = 1
-    for c in s.coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for c in s.coeffs))
     ints = [int(c * denom_lcm) for c in s.coeffs]
     ell = ints[-1]
     n = len(ints) - 1
     t_poly = [ints[k] * ell ** (n - 1 - k) for k in range(n)] + [1]
 
     # Only finitely many primes divide the discriminant, so the search ends.
-    prime = next(q for q in _odd_primes() if _gf_is_squarefree(_z_trim([c % q for c in t_poly]), q))
-
-    modular = _berlekamp([c % prime for c in t_poly], prime)
-    modular.sort(key=lambda u: (len(u), u))
+    for prime in _odd_primes():
+        modular = _modular_factors(t_poly, prime)
+        if modular is not None:
+            break
 
     # Mignotte-style bound: any monic integer factor of T has coefficients of
     # absolute value at most 2^n * ||T||_2.
@@ -438,24 +415,16 @@ def _factor_squarefree_monic(s: Poly) -> list[Poly]:
     found_t: list[list[int]] = []
     size = 1
     while 2 * size <= len(lifted):
-        again = True
-        while again:
-            again = False
-            for subset in combinations(range(len(lifted)), size):
-                cand = [1]
-                for idx in subset:
-                    cand = _z_mod(_z_mul(cand, lifted[idx]), target)
-                cand = _symmetric(cand, target)
-                if not cand or cand[-1] != 1:
-                    continue
-                quo, rem = _z_divmod_monic(t_remaining, cand)
-                if not rem:
-                    found_t.append(cand)
-                    t_remaining = quo
-                    lifted = [u for i, u in enumerate(lifted) if i not in subset]
-                    again = True
-                    break
-        size += 1
+        for subset in combinations(range(len(lifted)), size):
+            cand = _symmetric(_product_mod([lifted[i] for i in subset], target), target)
+            quo, rem = _z_divmod_monic(t_remaining, cand)
+            if not rem:
+                found_t.append(cand)
+                t_remaining = quo
+                lifted = [u for i, u in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
     if len(t_remaining) - 1 > 0:
         found_t.append(t_remaining)
 
@@ -475,11 +444,29 @@ def factor_rational(p: Poly) -> Factorization:
     content = p.leading_coefficient()
     work = p.monic()
     pairs: list[tuple[Poly, int]] = []
-    for part, mult in squarefree_decomposition(work):
-        for irr in _factor_squarefree_monic(part):
+    if work.degree() > 0:
+        for irr in _factor_squarefree_monic(work // work.gcd(work.derivative())):
+            mult = 0
+            quo, rem = work.divmod(irr)
+            while rem.is_zero():
+                work = quo
+                mult += 1
+                quo, rem = work.divmod(irr)
             pairs.append((irr, mult))
     pairs.sort(key=lambda fm: fm[0].sort_key())
     result = Factorization(content=content, factors=tuple(pairs))
     if result.expand() != p:
         raise InternalError("factorization failed to reproduce the input")
     return result
+
+
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Parts in increasing multiplicity, each the product of p's irreducible
+    factors of that multiplicity: monic, squarefree, pairwise coprime, and
+    with multiplicities their product is p up to a nonzero scalar."""
+    if p.is_zero():
+        raise ValueError("squarefree decomposition of the zero polynomial")
+    parts: dict[int, Poly] = {}
+    for f, mult in factor_rational(p).factors:
+        parts[mult] = parts.get(mult, Poly([1])) * f
+    return [(parts[mult], mult) for mult in sorted(parts)]

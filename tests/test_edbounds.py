@@ -45,11 +45,17 @@ class TestPrimeHelpers:
         primes = [2, 3, 5, 7, 11, 13]
         for n in range(-2, 15):
             assert is_prime(n) == (n in primes)
+        for n in (7.5, 7.0, -1.0):
+            with pytest.raises(TypeError):
+                is_prime(n)
 
     def test_prime_factors(self):
         assert prime_factors(12) == (2, 3)
         assert prime_factors(1) == ()
         assert prime_factors(97) == (97,)
+        for n in (7.5, 12.0):
+            with pytest.raises(TypeError):
+                prime_factors(n)
 
     def test_trial_division_agrees_with_a_sieve(self):
         bound = 5000
@@ -74,6 +80,9 @@ class TestPrimeHelpers:
             vp(4, 8)
         with pytest.raises(ValueError):
             vp(2, 0)
+        for p, n in ((2.0, 8.0), (2.0, 8), (2, 8.0)):
+            with pytest.raises(TypeError):
+                vp(p, n)
 
 
 class TestReportAndDescriptorTypes:

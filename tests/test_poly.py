@@ -59,6 +59,20 @@ class TestArithmetic:
             assert a - a == Poly([])
             assert -a == Poly([]) - a
 
+    def test_non_poly_operand_is_not_implemented(self):
+        # Each operator returns NotImplemented, so Python raises TypeError
+        # instead of an AttributeError from inside the method.
+        for op in ("__add__", "__sub__", "__mul__", "__floordiv__", "__mod__"):
+            assert getattr(X, op)(1) is NotImplemented
+        with pytest.raises(TypeError):
+            X + 1
+        with pytest.raises(TypeError):
+            X - 1
+        with pytest.raises(TypeError):
+            X // 1
+        with pytest.raises(TypeError):
+            X % 1
+
     def test_multiplication_degree_adds(self):
         rng = random.Random(1)
         for _ in range(30):

@@ -4,6 +4,8 @@ The main oracle is remultiplication: build products out of a pool of
 polynomials whose irreducibility over the rationals was checked by hand
 (rational root test for the cubics, explicit quadratic-split analysis for the
 quartics), factor the product, and demand the exact input multiset back.
+TestAgainstSympy checks factor_rational against sympy's factor_list, an
+independent implementation; it is skipped when sympy is not installed.
 """
 
 import random
@@ -229,3 +231,55 @@ class TestFactorModPInputs:
 
     def test_nonzero_constant_has_no_factors(self):
         assert factor_mod_p(Poly([5]), 3) == []
+
+
+def sympy_factorization(p):
+    """(content, {monic factor: multiplicity}) of p from sympy's factor_list,
+    in qalg's normalization: content is p's leading coefficient."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    coeff, factors = sympy.Poly(coeffs, x, domain="QQ").factor_list()
+    content = Fraction(int(coeff.p), int(coeff.q))
+    out = {}
+    for f, mult in factors:
+        q = Poly([Fraction(int(c.p), int(c.q)) for c in reversed(f.all_coeffs())])
+        content *= q.leading_coefficient() ** mult
+        out[q.monic()] = mult
+    return content, out
+
+
+def swinnerton_dyer(primes):
+    """Minimal polynomial over Q of the sum of the square roots of primes."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    root = sum(sympy.sqrt(p) for p in primes)
+    coeffs = sympy.Poly(sympy.minimal_polynomial(root, x), x).all_coeffs()
+    return Poly([int(c) for c in reversed(coeffs)])
+
+
+class TestAgainstSympy:
+    def check(self, p):
+        out = factor_rational(p)
+        assert (out.content, dict(out.factors)) == sympy_factorization(p)
+
+    def test_seeded_products_with_repeated_factors(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            p = Poly([Fraction(rng.choice([-1, -2, 3, -5]), rng.choice([1, 2, 7]))])
+            for _ in range(rng.randint(1, 4)):
+                low = [Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, 4))]
+                f = Poly(low + [rng.choice([1, -2, 3])])
+                for _ in range(rng.randint(1, 3)):
+                    p = p * f
+            self.check(p)
+
+    def test_swinnerton_dyer_times_repeated_linear_factors(self):
+        # Irreducible over Q but a product of linear and quadratic factors
+        # modulo every prime, so recombination tries many subsets.
+        extra = (X * X - Poly([1])) * (X + Poly([1])) * (X + Poly([1]))
+        for primes, degree in (((2, 3, 5), 8), ((2, 3, 5, 7), 16)):
+            sd = swinnerton_dyer(primes)
+            assert sd.degree() == degree
+            self.check(sd * extra)
+            assert factor_rational(sd * extra).factors == ((X - Poly([1]), 1), (X + Poly([1]), 3), (sd, 1))
