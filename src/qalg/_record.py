@@ -5,19 +5,32 @@
 positionally or by keyword (a class attribute is the field's default) that
 calls ``__post_init__`` when the class has one; the dataclass ``repr``;
 equality and hashing over the field tuple, equal only to the same class; and
-an ``AttributeError`` on assigning or deleting any attribute. Only
-``__init__`` is generated, one ``def`` per class, so that Python binds each
-call, raises its own ``TypeError`` for a bad one and shows the fields in
-``inspect.signature``; it costs about 50 microseconds a class. The other
-methods are plain closures over the field names. ``dataclasses`` imports
-``inspect`` and builds about six methods per class with ``exec``, which
-roughly tripled the time it took to import the package, and every ``qalg``
-command pays it.
+an ``AttributeError`` on assigning or deleting any attribute, from the same
+two methods as the ``Frozen`` value classes. Only ``__init__`` is generated,
+one ``def`` per class, so that Python binds each call, raises its own
+``TypeError`` for a bad one and shows the fields in ``inspect.signature``; it
+costs about 50 microseconds a class. ``repr``, equality and hashing are plain
+closures over the field names. ``dataclasses`` imports ``inspect`` and builds
+about six methods per class with ``exec``, which roughly tripled the time it
+took to import the package, and every ``qalg`` command pays it.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+
+class Frozen:
+    """Base of the immutable value classes, whose constructors write their
+    slots with ``object.__setattr__``; records share its two methods."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def record(cls):
@@ -62,14 +75,10 @@ def record(cls):
     def __hash__(self):
         return hash(getter(self))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
+    for method in (__init__, __repr__, __eq__, __hash__):
         method.__qualname__ = f"{qualname}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls.__setattr__ = Frozen.__setattr__
+    cls.__delattr__ = Frozen.__delattr__
     cls.__match_args__ = fields
     return cls

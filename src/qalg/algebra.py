@@ -28,7 +28,7 @@ from functools import wraps
 from math import lcm
 from typing import Sequence
 
-from ._record import record
+from ._record import Frozen, record
 from .errors import (
     AlgebraMismatchError,
     InternalError,
@@ -83,7 +83,7 @@ def _memoized(fn):
     return memoized
 
 
-class Subspace:
+class Subspace(Frozen):
     """Subspace of Q^n with a canonical reduced-row-echelon basis."""
 
     __slots__ = ("ambient_dim", "basis", "pivots", "_hash")
@@ -93,12 +93,9 @@ class Subspace:
             raise ValueError("ambient dimension must be nonnegative")
         rows, pivots = _echelon(as_vector(v, ambient_dim) for v in vectors)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Mat(rows) if rows else Mat.zeros(0, ambient_dim))
+        object.__setattr__(self, "basis", Mat(rows, ambient_dim))
         object.__setattr__(self, "pivots", tuple(pivots))
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self) -> int:
@@ -137,7 +134,7 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
-class FDAlgebra:
+class FDAlgebra(Frozen):
     """Associative unital algebra over Q given by structure constants.
 
     The constants are stored once, as integer numerators over one common
@@ -188,9 +185,6 @@ class FDAlgebra:
         """The algebra of products as _fill takes them, for a caller that
         already lists only nonzero constants in ascending k."""
         return FDAlgebra.__new__(FDAlgebra)._fill(unit, products)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FDAlgebra is immutable")
 
     @property
     def structure(self) -> tuple[tuple[Vec, ...], ...]:
@@ -338,7 +332,8 @@ class FDAlgebra:
     @_memoized
     def center(self) -> Subspace:
         """Elements commuting with the whole algebra, as a subspace: the
-        kernel of z -> z*e_j - e_j*z over all j, one row per (j, k). Rows
+        kernel of z -> z*e_j - e_j*z over all j, one row per (j, k), kept
+        as integer numerators over _den: the scaling keeps the kernel. Rows
         that no nonzero structure constant touches are zero and left out."""
         n = self.dim
         rows: dict[tuple[int, int], list[int]] = {}
@@ -348,7 +343,7 @@ class FDAlgebra:
                     rows.setdefault((j, k), [0] * n)[i] += c
                 for k, c in self._terms[i][j]:
                     rows.setdefault((j, k), [0] * n)[i] -= c
-        m = Mat([_over(rows[jk], self._den) for jk in sorted(rows)]) if rows else Mat.zeros(0, n)
+        m = Mat([rows[jk] for jk in sorted(rows)], n)
         return Subspace(n, kernel_basis(m))
 
     def _trace_numerators(self) -> list[int]:

@@ -59,10 +59,12 @@ class CSADescriptor:
     index: int | None = None
 
     def __post_init__(self):
-        _integer(self.degree, 1, "degree must be a positive integer")
+        degree = _integer(self.degree, 1, "degree must be a positive integer")
+        object.__setattr__(self, "degree", degree)
         if self.index is not None:
-            _integer(self.index, 1, "index must be a positive integer")
-            if self.degree % self.index != 0:
+            index = _integer(self.index, 1, "index must be a positive integer")
+            object.__setattr__(self, "index", index)
+            if degree % index != 0:
                 raise ValueError("index must divide the degree")
 
 
@@ -367,6 +369,7 @@ def bundle_moduli_ed(g: int, r: int, d: int, assume_ckm: bool = False) -> EdBoun
     """
     g = _integer(g, 0, "genus must be nonnegative")
     r = _integer(r, 1, "rank must be a positive integer")
+    d = _integer(d)
     if g < 2:
         return EdBoundReport(value=Fraction(g * r), kind="exact", formula=f"bundle-moduli-genus-{g}")
     return EdBoundReport(

@@ -1,9 +1,10 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
 Everything here is immutable and deterministic: matrices are tuples of tuples
-of ``fractions.Fraction``, and all elimination grows a reduced row echelon
-basis one vector at a time (`_insert`). That form is the canonical
-representative used for subspace comparisons elsewhere in the package.
+of ``fractions.Fraction`` that carry their width, also with no rows, and all
+elimination grows a reduced row echelon basis one vector at a time
+(`_insert`). That form is the canonical representative used for subspace
+comparisons elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
+from ._record import Frozen
 from .errors import InternalError, NoSolutionError
 from .poly import Poly, rat
 
@@ -83,39 +85,37 @@ def as_vector(values: Iterable, length: int | None = None) -> tuple[Fraction, ..
     return v
 
 
-class Mat:
-    """Immutable dense matrix over Fraction. _ints caches the rows as integer
+class Mat(Frozen):
+    """Immutable dense matrix over Fraction. A matrix carries its width, also
+    with no rows: cols must be given when data is empty, and when rows are
+    given it must equal their length. _ints caches the rows as integer
     numerators for apply; it is filled on first use."""
 
     __slots__ = ("rows", "cols", "data", "_ints")
 
-    def __init__(self, data: Sequence[Sequence]):
+    def __init__(self, data: Sequence[Sequence], cols: int | None = None):
         rows = tuple(tuple(x if type(x) is Fraction else rat(x) for x in row) for row in data)
-        if rows:
-            width = len(rows[0])
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-        else:
-            width = 0
+        if cols is None:
+            if not rows:
+                raise ValueError("a matrix with no rows needs its width")
+            cols = len(rows[0])
+        if cols < 0:
+            raise ValueError(f"negative width {cols}")
+        if any(len(r) != cols for r in rows):
+            raise ValueError(f"ragged rows: expected width {cols}")
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", rows)
         object.__setattr__(self, "_ints", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
         zero = Fraction(0)
-        out = Mat([[zero] * cols for _ in range(rows)])
-        # With no rows the data cannot carry the width.
-        object.__setattr__(out, "cols", cols)
-        return out
+        return Mat([[zero] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)])
+        return Mat([[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)], n)
 
     def __getitem__(self, i: int) -> tuple[Fraction, ...]:
         return self.data[i]
@@ -137,14 +137,10 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape()} * {other.shape()}")
         columns = [self.apply(c) for c in other.transpose().data]
-        if not (self.rows and columns):
-            return Mat.zeros(self.rows, other.cols)
-        return Mat(zip(*columns))
+        return Mat([[c[i] for c in columns] for i in range(self.rows)], other.cols)
 
     def transpose(self) -> "Mat":
-        if not self.cols:
-            return Mat.zeros(0, self.rows)
-        return Mat([self.col(j) for j in range(self.cols)])
+        return Mat([self.col(j) for j in range(self.cols)], self.rows)
 
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -168,9 +164,7 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        if not self.rows:
-            return Mat.zeros(0, self.cols + other.cols)
-        return Mat([r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        return Mat([r1 + r2 for r1, r2 in zip(self.data, other.data)], self.cols + other.cols)
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(rat_to_str(a) for a in r) for r in self.data)
@@ -226,7 +220,7 @@ def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """
     rows, pivots = _echelon(m.data)
     ech = rows + [[Fraction(0)] * m.cols] * (m.rows - len(rows))
-    return (Mat(ech) if ech else Mat.zeros(0, m.cols)), tuple(pivots)
+    return Mat(ech, m.cols), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -249,9 +243,7 @@ def kernel_basis(m: Mat) -> Mat:
         for r_idx, p in enumerate(pivots):
             v[p] = -ech.data[r_idx][f]
         basis.append(v)
-    if not basis:
-        return Mat.zeros(0, m.cols)
-    return Mat(basis)
+    return Mat(basis, m.cols)
 
 
 def solve_linear(a: Mat, b: Mat) -> Mat:
@@ -270,9 +262,7 @@ def solve_linear(a: Mat, b: Mat) -> Mat:
     for r_idx, p in enumerate(pivots):
         for k in range(b.cols):
             x[p][k] = ech.data[r_idx][a.cols + k]
-    if a.cols == 0:
-        return Mat.zeros(0, b.cols)
-    return Mat(x)
+    return Mat(x, b.cols)
 
 
 def minimal_polynomial(x: Sequence, multiply, one: Sequence) -> Poly:

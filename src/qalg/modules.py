@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from ._record import record
+from ._record import Frozen, record
 from .algebra import FDAlgebra, QuotientPresentation, Vec, _memoized
 from .errors import AlgebraMismatchError, InternalError, NotIdempotentError, UnknownIndexError
 from .linalg import _scaled, rat, rat_to_str, rat_vector_from_json
@@ -77,7 +77,7 @@ def _refine(qp: QuotientPresentation, p: AMatEntries) -> tuple[AMatEntries, int]
     return p, steps
 
 
-class IdempotentMatrix:
+class IdempotentMatrix(Frozen):
     """Square matrix over an algebra with P*P = P, presenting the projective
     right module P * A^size (columns)."""
 
@@ -98,9 +98,6 @@ class IdempotentMatrix:
         object.__setattr__(self, "size", len(entries))
         object.__setattr__(self, "entries", entries)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IdempotentMatrix is immutable")
 
     @staticmethod
     def diagonal(algebra: FDAlgebra, diagonal_elements: Sequence[Sequence]) -> "IdempotentMatrix":
@@ -250,8 +247,11 @@ def modules_isomorphic(m1: ProjectiveModuleDescriptor, m2: ProjectiveModuleDescr
 def rank_realizable(w: WedderburnReport, r: Fraction) -> bool:
     """Whether rank r is realized by a module over the algebra: n_i * r must
     be an integer for every factor's matrix size n_i. Raises UnknownIndexError
-    when some factor's matrix size is uncertified, and TypeError for a float."""
+    when some factor's matrix size is uncertified, ValueError for a negative
+    r and TypeError for a float. Rank 0, the zero module, is realized."""
     r = rat(r)
+    if r < 0:
+        raise ValueError("rank must be nonnegative")
     for i, factor in enumerate(w.factors):
         if factor.matrix_size is None:
             raise UnknownIndexError(

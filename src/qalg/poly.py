@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
+from ._record import Frozen
+
 
 def rat(x) -> Fraction:
     """Coerce an int, string, or Fraction to Fraction. Floats are rejected.
@@ -31,7 +33,7 @@ def _integer(value, low: int | None = None, message: str = "") -> int:
     return q.numerator
 
 
-class Poly:
+class Poly(Frozen):
     """Immutable rational polynomial."""
 
     __slots__ = ("coeffs",)
@@ -41,9 +43,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     @staticmethod
     def x() -> "Poly":

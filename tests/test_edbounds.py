@@ -119,6 +119,14 @@ class TestReportAndDescriptorTypes:
             CSADescriptor(degree=6, index=4)
         with pytest.raises(ValueError):
             CSADescriptor(degree=6, index=0)
+        for degree, index in (("6", "2"), (Fraction(6), Fraction(2))):
+            d = CSADescriptor(degree, index)
+            assert (d.degree, d.index) == (6, 2)
+            assert type(d.degree) is int and type(d.index) is int
+        assert bound_csa(CSADescriptor("6"), Fraction(1, 4)).kind == "minus_infinity"
+        assert bound_csa(CSADescriptor("4"), Fraction(1, 4)).value == 3
+        dim = severi_brauer_dim(CSADescriptor(Fraction(4)), Fraction(1, 2))
+        assert dim == 4 and type(dim) is int
 
     def test_partition_invariants(self):
         p = Partition((3, 1, 1))
@@ -430,6 +438,16 @@ class TestBundleModuli:
     def test_rank_must_be_positive(self):
         with pytest.raises(ValueError):
             bundle_moduli_ed(2, 0, 0)
+
+    def test_degree_is_read_as_an_integer(self):
+        for g in (0, 1, 2):
+            assert bundle_moduli_ed(g, 2, "4") == bundle_moduli_ed(g, 2, Fraction(4)) == bundle_moduli_ed(g, 2, 4)
+            with pytest.raises(ValueError, match="is not an integer"):
+                bundle_moduli_ed(g, 2, Fraction(1, 2))
+            with pytest.raises(ValueError):
+                bundle_moduli_ed(g, 2, "x")
+            with pytest.raises(TypeError):
+                bundle_moduli_ed(g, 2, 1.5)
 
 
 class TestCrossFormulaConsistency:

@@ -71,7 +71,7 @@ def random_rational_matrix(rng, rows, cols):
             out.append([s * x + t * y for x, y in zip(a, b)])
         else:
             out.append([entry() for _ in range(cols)])
-    return Mat(out) if out else Mat.zeros(0, cols)
+    return Mat(out, cols)
 
 
 class TestRationals:
@@ -433,6 +433,15 @@ class TestZeroRows:
 
     def test_zero_subspace_basis_has_ambient_width(self):
         assert Subspace(3, []).basis.shape() == (0, 3)
+
+    def test_width_is_given_with_the_rows(self):
+        assert Mat([], 3) == Mat.zeros(0, 3)
+        assert Mat([[], []], 0).shape() == (2, 0)
+        assert Mat.identity(0) == Mat.zeros(0, 0)
+        assert Mat([[1, 2]], 2) == Mat([[1, 2]])
+        for make in (lambda: Mat([]), lambda: Mat([], -1), lambda: Mat.zeros(2, -1), lambda: Mat([[1, 2]], 3)):
+            with pytest.raises(ValueError):
+                make()
 
 
 def test_solve_linear_rejects_mismatched_row_counts():

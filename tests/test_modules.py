@@ -550,6 +550,10 @@ class TestRankRealizable:
         w = wedderburn_decomposition(matrix_algebra(2))
         assert rank_realizable(w, Fraction(1, 2))
         assert not rank_realizable(w, Fraction(1, 3))
+        assert rank_realizable(w, Fraction(0))
+        for negative in (Fraction(-1), Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                rank_realizable(w, negative)
 
     def test_integral_ranks_with_certified_sizes(self):
         for a in [matrix_algebra(2), upper_triangular(3)]:

@@ -11,12 +11,24 @@ from fractions import Fraction
 import pytest
 
 import qalg
-from qalg.algebra import QuotientPresentation
+from qalg._record import Frozen
+from qalg.algebra import FDAlgebra, QuotientPresentation, Subspace
 from qalg.corpus import FixtureSpec, GoldenSummary
 from qalg.edbounds import CSADescriptor, EdBoundReport, Partition, PartitionCheck
-from qalg.modules import ProjectiveModuleDescriptor
+from qalg.linalg import Mat
+from qalg.modules import IdempotentMatrix, ProjectiveModuleDescriptor
+from qalg.poly import Poly
 from qalg.polyfactor import Factorization
 from qalg.structure import RadicalReport, SimpleFactorData, WedderburnReport
+
+# The immutable value classes that share the records' guard, one instance each.
+VALUES = {
+    "Mat": lambda: Mat([[1, 2]]),
+    "Subspace": lambda: Subspace(2, [[1, 0]]),
+    "FDAlgebra": lambda: FDAlgebra([[[1]]], [1]),
+    "Poly": lambda: Poly([1, 2]),
+    "IdempotentMatrix": lambda: IdempotentMatrix(FDAlgebra([[[1]]], [1]), [[[1]]]),
+}
 
 # Each record's fields in order, (name, default) where it has one, and two
 # argument tuples that differ in their last field. Records without a
@@ -161,3 +173,15 @@ class TestPostInit:
         assert p.parts == (2, 1) and all(type(x) is int for x in p.parts)
         assert p == Partition((2, 1)) and hash(p) == hash(Partition((2, 1)))
         assert repr(p) == "Partition(parts=(2, 1))"
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+def test_value_classes_refuse_assignment_and_deletion(make):
+    value = make()
+    assert isinstance(value, Frozen) and not hasattr(value, "__dict__")
+    for name in [s for s in type(value).__slots__ if s != "__weakref__"] + ["not_a_field"]:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+            delattr(value, name)
+    assert value == make() and hash(value) == hash(make())
