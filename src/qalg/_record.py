@@ -1,18 +1,26 @@
-"""Frozen record classes, made without the ``dataclasses`` module.
+"""Frozen record classes, made without the ``dataclasses`` module, and the
+rules they share with the immutable value classes.
+
+``Frozen`` states once how an immutable value is filled in, compared and
+hashed: a constructor writes its fields with ``_set``, the one way past the
+guard that refuses assignment and deletion; values of the same class are
+equal when their ``_key()`` tuples are; the hash is that of ``_key()``, kept
+in the ``_hash`` slot on first use. Each value class gives only ``_key()``.
 
 ``@record`` gives a class with annotated fields what
 ``@dataclass(frozen=True)`` gives it: a constructor taking the fields
 positionally or by keyword (a class attribute is the field's default) that
 calls ``__post_init__`` when the class has one; the dataclass ``repr``;
 equality and hashing over the field tuple, equal only to the same class; and
-an ``AttributeError`` on assigning or deleting any attribute, from the same
-two methods as the ``Frozen`` value classes. Only ``__init__`` is generated,
-one ``def`` per class, so that Python binds each call, raises its own
-``TypeError`` for a bad one and shows the fields in ``inspect.signature``; it
-costs about 50 microseconds a class. ``repr``, equality and hashing are plain
-closures over the field names. ``dataclasses`` imports ``inspect`` and builds
-about six methods per class with ``exec``, which roughly tripled the time it
-took to import the package, and every ``qalg`` command pays it.
+an ``AttributeError`` on assigning or deleting any attribute. The guard,
+``_set`` and ``__eq__`` are ``Frozen``'s, with the field tuple as key; the
+hash is not kept, as a record has no slot for it. Only ``__init__`` is
+generated, one ``def`` per class, so that Python binds each call, raises its
+own ``TypeError`` for a bad one and shows the fields in
+``inspect.signature``; it costs about 50 microseconds a class.
+``dataclasses`` imports ``inspect`` and builds about six methods per class
+with ``exec``, which roughly tripled the time it took to import the package,
+and every ``qalg`` command pays it.
 """
 
 from __future__ import annotations
@@ -21,10 +29,28 @@ from operator import attrgetter
 
 
 class Frozen:
-    """Base of the immutable value classes, whose constructors write their
-    slots with ``object.__setattr__``; records share its two methods."""
+    """Base of the immutable value classes; a subclass gives ``_key()``."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def _set(self, **fields):
+        """Write fields past the guard, for a constructor; returns self."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        return self
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            return self._set(_hash=hash(self._key()))._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -65,20 +91,16 @@ def record(cls):
         inner = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
         return f"{self.__class__.__qualname__}({inner})"
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is self.__class__:
-            return getter(self) == getter(other)
-        return NotImplemented
+    def _key(self):
+        return getter(self)
 
     def __hash__(self):
         return hash(getter(self))
 
-    for method in (__init__, __repr__, __eq__, __hash__):
+    for method in (__init__, __repr__, _key, __hash__):
         method.__qualname__ = f"{qualname}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    cls.__setattr__ = Frozen.__setattr__
-    cls.__delattr__ = Frozen.__delattr__
+    for name in ("_set", "__eq__", "__setattr__", "__delattr__"):
+        setattr(cls, name, getattr(Frozen, name))
     cls.__match_args__ = fields
     return cls

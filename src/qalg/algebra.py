@@ -26,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import wraps
 from math import lcm
+from operator import index
 from typing import Sequence
 
 from ._record import Frozen, record
@@ -86,16 +87,14 @@ def _memoized(fn):
 class Subspace(Frozen):
     """Subspace of Q^n with a canonical reduced-row-echelon basis."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots", "_hash")
+    __slots__ = ("ambient_dim", "basis", "pivots")
 
     def __init__(self, ambient_dim: int, vectors: Sequence[Sequence] | Mat):
+        ambient_dim = index(ambient_dim)
         if ambient_dim < 0:
             raise ValueError("ambient dimension must be nonnegative")
         rows, pivots = _echelon(as_vector(v, ambient_dim) for v in vectors)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", Mat(rows, ambient_dim))
-        object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_hash", None)
+        self._set(ambient_dim=ambient_dim, basis=Mat(rows, ambient_dim), pivots=tuple(pivots))
 
     @property
     def dim(self) -> int:
@@ -116,19 +115,8 @@ class Subspace(Frozen):
     def vectors(self) -> tuple[Vec, ...]:
         return self.basis.data
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ambient_dim, self.basis))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def _key(self) -> tuple:
+        return (self.ambient_dim, self.basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -147,7 +135,7 @@ class FDAlgebra(Frozen):
     on each access.
     """
 
-    __slots__ = ("dim", "unit", "_den", "_terms", "_hash", "_memo", "__weakref__")
+    __slots__ = ("dim", "unit", "_den", "_terms", "_memo", "__weakref__")
 
     def __init__(self, structure: Sequence[Sequence[Sequence]], unit: Sequence):
         dim = len(structure)
@@ -165,20 +153,16 @@ class FDAlgebra(Frozen):
         e_i * e_j with k ascending and c an int or Fraction. This is the one
         place that writes _den and _terms."""
         den = lcm(*{c.denominator for row in products for v in row for _, c in v})
-        object.__setattr__(self, "dim", len(products))
-        object.__setattr__(self, "unit", as_vector(unit, len(products)))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(
-            self,
-            "_terms",
-            tuple(
+        return self._set(
+            dim=len(products),
+            unit=as_vector(unit, len(products)),
+            _den=den,
+            _terms=tuple(
                 tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in v) for v in row)
                 for row in products
             ),
+            _memo={},
         )
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_memo", {})
-        return self
 
     @staticmethod
     def _from_products(unit: Sequence, products) -> "FDAlgebra":
@@ -206,23 +190,8 @@ class FDAlgebra(Frozen):
             out.append(vecs)
         return out
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, FDAlgebra)
-            and self.dim == other.dim
-            and self.unit == other.unit
-            and self._den == other._den
-            and self._terms == other._terms
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.dim, self.unit, self._den, self._terms))
-            object.__setattr__(self, "_hash", h)
-        return h
+    def _key(self) -> tuple:
+        return (self.dim, self.unit, self._den, self._terms)
 
     def __repr__(self) -> str:
         return f"FDAlgebra(dim={self.dim})"
@@ -333,8 +302,8 @@ class FDAlgebra(Frozen):
     def center(self) -> Subspace:
         """Elements commuting with the whole algebra, as a subspace: the
         kernel of z -> z*e_j - e_j*z over all j, one row per (j, k), kept
-        as integer numerators over _den: the scaling keeps the kernel. Rows
-        that no nonzero structure constant touches are zero and left out."""
+        as integer numerators over _den: the scaling keeps the kernel. Each
+        distinct nonzero row is eliminated once."""
         n = self.dim
         rows: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
@@ -343,8 +312,8 @@ class FDAlgebra(Frozen):
                     rows.setdefault((j, k), [0] * n)[i] += c
                 for k, c in self._terms[i][j]:
                     rows.setdefault((j, k), [0] * n)[i] -= c
-        m = Mat([rows[jk] for jk in sorted(rows)], n)
-        return Subspace(n, kernel_basis(m))
+        distinct = dict.fromkeys(tuple(r) for r in rows.values() if any(r))
+        return Subspace(n, kernel_basis(Mat(list(distinct), n)))
 
     def _trace_numerators(self) -> list[int]:
         """tr(L_b) * _den for each basis element b."""

@@ -60,10 +60,10 @@ class CSADescriptor:
 
     def __post_init__(self):
         degree = _integer(self.degree, 1, "degree must be a positive integer")
-        object.__setattr__(self, "degree", degree)
+        self._set(degree=degree)
         if self.index is not None:
             index = _integer(self.index, 1, "index must be a positive integer")
-            object.__setattr__(self, "index", index)
+            self._set(index=index)
             if degree % index != 0:
                 raise ValueError("index must divide the degree")
 
@@ -76,7 +76,7 @@ class Partition:
 
     def __post_init__(self):
         parts = tuple(_integer(p, 1, "partition parts must be positive") for p in self.parts)
-        object.__setattr__(self, "parts", parts)
+        self._set(parts=parts)
         if not parts:
             raise ValueError("partition needs at least one part")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):

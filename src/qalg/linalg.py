@@ -13,17 +13,16 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Iterable, Sequence
 
 from ._record import Frozen
 from .errors import InternalError, NoSolutionError
-from .poly import Poly, rat
+from .poly import _ZERO, Poly, rat
 
 # Rational scalar type used across the package. Fraction already guarantees
 # lowest terms and a positive denominator.
 Rat = Fraction
-
-_ZERO = Fraction(0)
 
 
 def _scaled(v: Sequence, d: int) -> list[tuple[int, int]]:
@@ -99,19 +98,18 @@ class Mat(Frozen):
             if not rows:
                 raise ValueError("a matrix with no rows needs its width")
             cols = len(rows[0])
+        cols = index(cols)
         if cols < 0:
             raise ValueError(f"negative width {cols}")
         if any(len(r) != cols for r in rows):
             raise ValueError(f"ragged rows: expected width {cols}")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", rows)
-        object.__setattr__(self, "_ints", None)
+        self._set(rows=len(rows), cols=cols, data=rows, _ints=None)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        zero = Fraction(0)
-        return Mat([[zero] * cols for _ in range(rows)], cols)
+        if rows < 0:
+            raise ValueError(f"negative row count {rows}")
+        return Mat([[_ZERO] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def identity(n: int) -> "Mat":
@@ -123,11 +121,8 @@ class Mat(Frozen):
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple(r[j] for r in self.data)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.shape() == other.shape() and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.data)
 
     def __mul__(self, other: "Mat") -> "Mat":
         """Matrix product, one column at a time through apply, so that the
@@ -155,7 +150,7 @@ class Mat(Frozen):
         if ints is None:
             den = lcm(*{c.denominator for r in self.data for c in r})
             ints = (den, tuple(_scaled(r, den) for r in self.data))
-            object.__setattr__(self, "_ints", ints)
+            self._set(_ints=ints)
         den, rows = ints
         vd = lcm(*{c.denominator for c in v})
         w = [c.numerator * (vd // c.denominator) for c in v]
@@ -274,7 +269,8 @@ def minimal_polynomial(x: Sequence, multiply, one: Sequence) -> Poly:
     is that of its row-major flattening in matrix_algebra(n). Entries may be
     ints, strings or Fractions.
     """
-    x, one = as_vector(x), as_vector(one)
+    x = as_vector(x)
+    one = as_vector(one, len(x))
     rows: list = []
     pivots: list[int] = []
     power = one

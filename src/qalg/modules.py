@@ -94,10 +94,7 @@ class IdempotentMatrix(Frozen):
 
     def _fill(self, algebra: FDAlgebra, entries: AMatEntries) -> "IdempotentMatrix":
         """Set the fields of a matrix already known to be idempotent."""
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "size", len(entries))
-        object.__setattr__(self, "entries", entries)
-        return self
+        return self._set(algebra=algebra, size=len(entries), entries=entries)
 
     @staticmethod
     def diagonal(algebra: FDAlgebra, diagonal_elements: Sequence[Sequence]) -> "IdempotentMatrix":
@@ -109,15 +106,8 @@ class IdempotentMatrix(Frozen):
         ]
         return IdempotentMatrix(algebra, rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, IdempotentMatrix)
-            and self.algebra == other.algebra
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.entries))
+    def _key(self) -> tuple:
+        return (self.algebra, self.entries)
 
     def to_json_lists(self) -> list[list[list[str]]]:
         """Nested arrays of coordinate vectors with rationals as strings."""

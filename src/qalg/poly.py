@@ -11,10 +11,15 @@ from typing import Iterable
 
 from ._record import Frozen
 
+_ZERO = Fraction(0)
+
 
 def rat(x) -> Fraction:
     """Coerce an int, string, or Fraction to Fraction. Floats are rejected.
-    This is the package's one such coercion; qalg.linalg re-exports it."""
+    This is the package's one such coercion; qalg.linalg re-exports it.
+    An int 0 gives the shared _ZERO."""
+    if isinstance(x, int):
+        return Fraction(x) if x else _ZERO
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass ints, strings, or Fractions")
     return Fraction(x)
@@ -42,7 +47,7 @@ class Poly(Frozen):
         cs = [c if type(c) is Fraction else rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        self._set(coeffs=tuple(cs))
 
     @staticmethod
     def x() -> "Poly":
@@ -63,11 +68,8 @@ class Poly(Frozen):
             return Fraction(0)
         return self.coeffs[-1]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    def _key(self) -> tuple:
+        return self.coeffs
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):

@@ -6,6 +6,7 @@ import inspect
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -692,6 +693,38 @@ class TestCenter:
                 left, right = regular(a, ej), regular(a, ej, "right")
                 blocks.extend([x - y for x, y in zip(r, s)] for r, s in zip(left.data, right.data))
             assert a.center() == Subspace(a.dim, kernel_basis(Mat(blocks)))
+
+    @pytest.mark.parametrize("n, count", [(3, 8), (4, 122)])
+    def test_group_center_eliminates_each_commutator_once(self, n, count, monkeypatch):
+        # In Q[G] the commutator row (j, k) is e_a - e_(g_j a g_j^-1) with
+        # a = g_j^-1 g_k, so the distinct nonzero rows are the ordered pairs of
+        # distinct conjugates, sum |C|^2 - |G| over the conjugacy classes C,
+        # and the center is spanned by the class sums. Both are read off the
+        # permutations here, not off the algebra.
+        perms = sorted(permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        a = group_algebra([[index[tuple(p[q[x]] for x in range(n))] for q in perms] for p in perms])
+
+        def conjugate(g, x):
+            inverse = [g.index(y) for y in range(n)]
+            return tuple(g[x[inverse[y]]] for y in range(n))
+
+        classes = {frozenset(index[conjugate(g, x)] for g in perms) for x in perms}
+        assert sum(len(c) ** 2 for c in classes) - len(perms) == count
+        expected = set()
+        for g in perms:
+            for x in perms:
+                row = [0] * a.dim
+                row[index[x]] += 1
+                row[index[conjugate(g, x)]] -= 1
+                if any(row):
+                    expected.add(tuple(row))
+        handed = []
+        monkeypatch.setattr(qalg.algebra, "kernel_basis", lambda m: handed.append(m) or kernel_basis(m))
+        center = a.center()
+        [m] = handed
+        assert m.rows == len(set(m.data)) == count and set(m.data) == expected
+        assert center == Subspace(a.dim, [[int(i in c) for i in range(a.dim)] for c in classes])
 
 
 class TestGroupAlgebras:

@@ -21,7 +21,7 @@ from qalg.linalg import (
     rref,
     solve_linear,
 )
-from qalg.poly import Poly
+from qalg.poly import _ZERO, Poly
 
 from oracles import reference_matrix_product, reference_poly_at_matrix, reference_rank, reference_rref
 
@@ -83,6 +83,11 @@ class TestRationals:
     def test_rat_rejects_floats(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+    def test_rat_shares_one_zero_and_reads_bools(self):
+        assert rat(0) is _ZERO and rat(False) is _ZERO
+        assert type(rat(7)) is Fraction and rat(7) == 7
+        assert type(rat(True)) is Fraction and rat(True) == 1
 
     def test_rat_to_str_omits_unit_denominator(self):
         assert rat_to_str(Fraction(4, 2)) == "2"
@@ -327,10 +332,13 @@ class TestMinimalPolynomial:
 
     def test_empty_matrix_and_shape_check(self):
         # The 0x0 matrix flattens to the empty element, whose first power is
-        # already dependent; a 1x2 matrix does not flatten into matrix_algebra(1).
+        # already dependent; a 1x2 matrix does not flatten into matrix_algebra(1),
+        # and a unit must have the length of x.
         assert minimal_polynomial((), lambda x, y: (), ()) == Poly([1])
         with pytest.raises(ValueError):
             matrix_minimal_polynomial(Mat([[1, 2]]))
+        with pytest.raises(ValueError, match="^expected a vector of length 2, got 1$"):
+            minimal_polynomial([1, 2], lambda x, y: x, [1])
 
     def test_integer_entries(self):
         # x = [[1, 1, 0], [0, 1, 0], [0, 0, 0]] is (x - 1)^2 in the corner of
@@ -439,9 +447,15 @@ class TestZeroRows:
         assert Mat([[], []], 0).shape() == (2, 0)
         assert Mat.identity(0) == Mat.zeros(0, 0)
         assert Mat([[1, 2]], 2) == Mat([[1, 2]])
-        for make in (lambda: Mat([]), lambda: Mat([], -1), lambda: Mat.zeros(2, -1), lambda: Mat([[1, 2]], 3)):
+        for make in (lambda: Mat([]), lambda: Mat([], -1), lambda: Mat.zeros(2, -1), lambda: Mat.zeros(-1, 2), lambda: Mat([[1, 2]], 3)):
             with pytest.raises(ValueError):
                 make()
+        # Widths are read with operator.index: no float, and a bool as an int.
+        for make in (lambda: Mat([], 2.5), lambda: Subspace(2.5, [])):
+            with pytest.raises(TypeError):
+                make()
+        assert Mat([[1]], True).shape() == (1, 1) and type(Mat([[1]], True).cols) is int
+        assert type(Subspace(True, [[1]]).ambient_dim) is int
 
 
 def test_solve_linear_rejects_mismatched_row_counts():

@@ -4,9 +4,11 @@ Each record class is checked against a real frozen dataclass with the same
 fields and defaults, built here: the package itself does not import
 ``dataclasses``."""
 
+import ast
 import dataclasses
 import inspect
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +30,16 @@ VALUES = {
     "FDAlgebra": lambda: FDAlgebra([[[1]]], [1]),
     "Poly": lambda: Poly([1, 2]),
     "IdempotentMatrix": lambda: IdempotentMatrix(FDAlgebra([[[1]]], [1]), [[[1]]]),
+}
+
+# The tuple each value class hashed before Frozen held the rule, read off its
+# fields: _key() must return it, so that hash values do not change.
+KEYS = {
+    "Mat": lambda v: (v.rows, v.cols, v.data),
+    "Subspace": lambda v: (v.ambient_dim, v.basis),
+    "FDAlgebra": lambda v: (v.dim, v.unit, v._den, v._terms),
+    "Poly": lambda v: v.coeffs,
+    "IdempotentMatrix": lambda v: (v.algebra, v.entries),
 }
 
 # Each record's fields in order, (name, default) where it has one, and two
@@ -179,9 +191,64 @@ class TestPostInit:
 def test_value_classes_refuse_assignment_and_deletion(make):
     value = make()
     assert isinstance(value, Frozen) and not hasattr(value, "__dict__")
-    for name in [s for s in type(value).__slots__ if s != "__weakref__"] + ["not_a_field"]:
+    slots = Frozen.__slots__ + type(value).__slots__
+    for name in [s for s in slots if s != "__weakref__"] + ["not_a_field"]:
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
             setattr(value, name, 0)
         with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
             delattr(value, name)
     assert value == make() and hash(value) == hash(make())
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_value_classes_compare_and_hash_by_key(name):
+    value, same = VALUES[name](), VALUES[name]()
+    assert value is not same and value._key() == same._key() == KEYS[name](value)
+    assert value == same and not value != same
+    for other in VALUES:
+        if other != name:
+            assert value != VALUES[other]() and VALUES[other]() != value
+    assert value != value._key() and value._key() != value
+    assert hash(value) == hash(value._key()) == hash(value) == hash(same)
+
+
+def frozen_rule_sites(source):
+    """Line numbers at which source defines or assigns __eq__ or __hash__, or
+    names object.__setattr__: the rules that only Frozen states."""
+    hits = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.FunctionDef) and node.name in ("__eq__", "__hash__")
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in ("__eq__", "__hash__")
+            or isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object"
+        ):
+            hits.append(node.lineno)
+    return hits
+
+
+class TestFrozenOwnsTheRules:
+    """Only qalg/_record.py defines equality and hashing or writes past the
+    guard; the value classes give _key() and fill themselves with _set."""
+
+    def test_the_check_catches_each_way_of_stating_a_rule(self):
+        for snippet in (
+            "class A:\n    def __eq__(self, other): pass",
+            "class A:\n    def __hash__(self): pass",
+            "class A:\n    __hash__ = None",
+            "object.__setattr__(self, 'x', 1)",
+            "setattr_ = object.__setattr__",
+        ):
+            assert frozen_rule_sites(snippet), snippet
+        assert not frozen_rule_sites("a == b\nhash(a)\nself._set(x=1)\na.__eq__(b)")
+
+    def test_no_other_module_states_them(self):
+        package = Path(qalg.__file__).parent
+        found = [
+            f"{path.name}:{line}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "_record.py"
+            for line in frozen_rule_sites(path.read_text())
+        ]
+        assert not found
+        assert frozen_rule_sites((package / "_record.py").read_text())
