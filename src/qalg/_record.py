@@ -52,6 +52,11 @@ class Frozen:
         except AttributeError:
             return self._set(_hash=hash(self._key()))._hash
 
+    def __setstate__(self, state):
+        """Fill a copy from (None, slot values) through _set. A kept hash is
+        left out: an unpickled one may come from another platform's hash."""
+        self._set(**{name: value for name, value in state[1].items() if name != "_hash"})
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -4,17 +4,17 @@ An algebra is given by structure constants: ``structure[i][j]`` is the
 coordinate vector of the basis product e_i * e_j. It stores them once, as the
 nonzero integer numerators over one common denominator, and computes products,
 associativity checks, the center and the trace form in Python ints;
-``structure`` is derived from that table on demand. Products of elements and
-of matrices over the algebra (_matrix_product) share one inner integer loop.
-Every table of products x * y (a quotient and its ideal check, subalgebras,
-factor spans, corners, subspace products, rank functionals) is one
-_pairwise_products call, that is one _matrix_product call; multiply serves
-single products, powers and the idempotency and unit-law checks. Mat
-products go through the integer rows of Mat.apply. This module is the only
-one that reads the table. One method, FDAlgebra._fill, writes it: the public
-constructor hands it the nonzero entries of a dense table, the built-in
-constructors only their nonzero products, and tensor_product is the one
-writer of tensor-shaped tables (matrix_over is a tensor product).
+``structure`` is derived from that table on demand. Every product of elements
+is one call of _matrix_product, the product of matrices over the algebra:
+multiply, which serves single products, powers and the idempotency and
+unit-law checks, is its 1 x 1 case, and every table of products x * y (a
+quotient and its ideal check, subalgebras, factor spans, corners, subspace
+products, rank functionals) is one _pairwise_products call. Mat products go
+through the integer rows of Mat.apply. This module is the only one that reads
+the table. One method, FDAlgebra._fill, writes it: the public constructor
+hands it the nonzero entries of a dense table, the built-in constructors only
+their nonzero products, and tensor_product is the one writer of tensor-shaped
+tables (matrix_over is a tensor product).
 Elements are plain tuples of Fractions relative to the algebra's basis; there
 is no element wrapper class.
 All derived objects (center, quotients, subalgebras) use reduced row echelon
@@ -26,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import wraps
 from math import lcm
-from operator import index
 from typing import Sequence
 
 from ._record import Frozen, record
@@ -40,9 +39,8 @@ from .errors import (
 from .linalg import (
     _ZERO,
     Mat,
-    _echelon,
+    Subspace,
     _over,
-    _reduce,
     _scaled,
     _vector_from_json,
     as_vector,
@@ -54,17 +52,6 @@ from .linalg import (
 )
 
 Vec = tuple[Fraction, ...]
-
-
-def _add_product(terms, out: list[int], xs, ys) -> None:
-    """Add the numerators of x * y into out, for x and y as their nonzero
-    pairs (i, numerator): the one inner loop of multiply and _matrix_product."""
-    for i, xi in xs:
-        row = terms[i]
-        for j, yj in ys:
-            c = xi * yj
-            for k, s in row[j]:
-                out[k] += c * s
 
 
 def _memoized(fn):
@@ -82,44 +69,6 @@ def _memoized(fn):
         return memo[key]
 
     return memoized
-
-
-class Subspace(Frozen):
-    """Subspace of Q^n with a canonical reduced-row-echelon basis."""
-
-    __slots__ = ("ambient_dim", "basis", "pivots")
-
-    def __init__(self, ambient_dim: int, vectors: Sequence[Sequence] | Mat):
-        ambient_dim = index(ambient_dim)
-        if ambient_dim < 0:
-            raise ValueError("ambient dimension must be nonnegative")
-        rows, pivots = _echelon(as_vector(v, ambient_dim) for v in vectors)
-        self._set(ambient_dim=ambient_dim, basis=Mat(rows, ambient_dim), pivots=tuple(pivots))
-
-    @property
-    def dim(self) -> int:
-        return self.basis.rows
-
-    def contains(self, v: Sequence) -> bool:
-        return not any(_reduce(self.basis.data, self.pivots, as_vector(v, self.ambient_dim)))
-
-    def coordinates(self, v: Sequence) -> Vec:
-        """Coordinates of v in the echelon basis. Raises ValueError when v
-        is outside the subspace; with a reduced echelon basis the coordinates
-        are just the pivot entries."""
-        vv = as_vector(v, self.ambient_dim)
-        if any(_reduce(self.basis.data, self.pivots, vv)):
-            raise ValueError("vector lies outside the subspace")
-        return tuple(vv[p] for p in self.pivots)
-
-    def vectors(self) -> tuple[Vec, ...]:
-        return self.basis.data
-
-    def _key(self) -> tuple:
-        return (self.ambient_dim, self.basis)
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
 class FDAlgebra(Frozen):
@@ -193,6 +142,10 @@ class FDAlgebra(Frozen):
     def _key(self) -> tuple:
         return (self.dim, self.unit, self._den, self._terms)
 
+    def __getstate__(self):
+        """The fields for copy and pickle; the memo stays here, the copy gets an empty one."""
+        return None, {"dim": self.dim, "unit": self.unit, "_den": self._den, "_terms": self._terms, "_memo": {}}
+
     def __repr__(self) -> str:
         return f"FDAlgebra(dim={self.dim})"
 
@@ -208,11 +161,8 @@ class FDAlgebra(Frozen):
         return as_vector(values, self.dim)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vec:
-        x, y = as_vector(x, self.dim), as_vector(y, self.dim)
-        xd, yd = lcm(*{c.denominator for c in x}), lcm(*{c.denominator for c in y})
-        out = [0] * self.dim
-        _add_product(self._terms, out, _scaled(x, xd), _scaled(y, yd))
-        return _over(out, xd * yd * self._den)
+        """x * y, as the 1 x 1 matrix product ((x,),) * ((y,),)."""
+        return self._pairwise_products((as_vector(x, self.dim),), (as_vector(y, self.dim),))[0][0]
 
     def _matrix_product(self, x: Sequence[Sequence[Vec]], y: Sequence[Sequence[Vec]]) -> tuple[tuple[Vec, ...], ...]:
         """The product of a p x r matrix x and an r x q matrix y over the
@@ -232,7 +182,12 @@ class FDAlgebra(Frozen):
                 acc = [0] * n
                 for xe, yrow in zip(xrow, ys):
                     if xe and yrow[q]:
-                        _add_product(terms, acc, xe, yrow[q])
+                        for i, xi in xe:
+                            ti = terms[i]
+                            for j, yj in yrow[q]:
+                                c = xi * yj
+                                for k, s in ti[j]:
+                                    acc[k] += c * s
                 row.append(_over(acc, den))
             out.append(tuple(row))
         return tuple(out)

@@ -50,8 +50,6 @@ from .linalg import rat_from_str, rat_to_str
 from .modules import refine_to_idempotent
 from .structure import jacobson_radical, wedderburn_decomposition
 
-MAX_PARTITION_RANK = 30
-
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MATH = 3
@@ -304,8 +302,6 @@ def cmd_ed_nil_dim(args) -> tuple[dict, list[str]]:
 
 
 def cmd_ed_partitions(args) -> tuple[dict, list[str]]:
-    if args.rank > MAX_PARTITION_RANK:
-        raise input_error(f"rank {args.rank} exceeds the partition enumeration cap {MAX_PARTITION_RANK}")
     check = partition_square_sum_check(args.rank)
     return _plain(
         {

@@ -20,6 +20,7 @@ from .polyfactor import is_prime, prime_factors, vp
 from .structure import WedderburnReport
 
 KINDS = ("exact", "upper", "strict_upper", "conjectural_exact", "minus_infinity")
+MAX_PARTITION_RANK = 30
 
 _FORMULA_ONLY = (
     "formula evaluation only; existence of a division algebra of"
@@ -333,8 +334,11 @@ class PartitionCheck:
 
 def partition_square_sum_check(r: int) -> PartitionCheck:
     """Maximize the sum of squared parts over partitions of r with at least
-    two parts; the maximum is r^2 - 2r + 2, attained at (r-1, 1)."""
+    two parts; the maximum is r^2 - 2r + 2, attained at (r-1, 1). A rank
+    above MAX_PARTITION_RANK raises ValueError."""
     r = _integer(r, 2, "rank must be at least 2")
+    if r > MAX_PARTITION_RANK:
+        raise ValueError(f"rank {r} exceeds the partition enumeration cap {MAX_PARTITION_RANK}")
     best = None
     witness = None
     # >= keeps the last maximizer, which in descending lexicographic

@@ -3,8 +3,8 @@
 Everything here is immutable and deterministic: matrices are tuples of tuples
 of ``fractions.Fraction`` that carry their width, also with no rows, and all
 elimination grows a reduced row echelon basis one vector at a time
-(`_insert`). That form is the canonical representative used for subspace
-comparisons elsewhere in the package.
+(`_insert`). `Subspace` keeps that form, the canonical representative of a
+subspace, so that no other module touches the elimination.
 """
 
 from __future__ import annotations
@@ -204,6 +204,44 @@ def _echelon(vectors: Iterable[Sequence]) -> tuple[list, list[int]]:
     for v in vectors:
         _insert(rows, pivots, v)
     return rows, pivots
+
+
+class Subspace(Frozen):
+    """Subspace of Q^n with a canonical reduced-row-echelon basis."""
+
+    __slots__ = ("ambient_dim", "basis", "pivots")
+
+    def __init__(self, ambient_dim: int, vectors: Sequence[Sequence] | Mat):
+        ambient_dim = index(ambient_dim)
+        if ambient_dim < 0:
+            raise ValueError("ambient dimension must be nonnegative")
+        rows, pivots = _echelon(as_vector(v, ambient_dim) for v in vectors)
+        self._set(ambient_dim=ambient_dim, basis=Mat(rows, ambient_dim), pivots=tuple(pivots))
+
+    @property
+    def dim(self) -> int:
+        return self.basis.rows
+
+    def contains(self, v: Sequence) -> bool:
+        return not any(_reduce(self.basis.data, self.pivots, as_vector(v, self.ambient_dim)))
+
+    def coordinates(self, v: Sequence) -> tuple[Fraction, ...]:
+        """Coordinates of v in the echelon basis. Raises ValueError when v
+        is outside the subspace; with a reduced echelon basis the coordinates
+        are just the pivot entries."""
+        vv = as_vector(v, self.ambient_dim)
+        if any(_reduce(self.basis.data, self.pivots, vv)):
+            raise ValueError("vector lies outside the subspace")
+        return tuple(vv[p] for p in self.pivots)
+
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self.basis.data
+
+    def _key(self) -> tuple:
+        return (self.ambient_dim, self.basis)
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:

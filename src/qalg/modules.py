@@ -6,8 +6,8 @@ needed. There is one refinement loop, over square matrices with entries in the
 algebra A held as nested rows of coordinate vectors; an element is refined as
 the 1 x 1 matrix ((p,),).
 
-Matrices are multiplied by A._matrix_product, which shares its integer inner
-loop with A.multiply and builds no structure table for the matrix algebra.
+Matrices are multiplied by A._matrix_product, which also computes A.multiply
+as its 1 x 1 case and builds no structure table for the matrix algebra.
 matrix_over(A, k) is not used for the products, because its tables cost time
 and memory up front: on a 2-core x86 VM, the 32 tables for the eight algebras
 of the modules-lift benchmark at sizes 1-4 took 0.55 s to build and held
@@ -236,12 +236,15 @@ def modules_isomorphic(m1: ProjectiveModuleDescriptor, m2: ProjectiveModuleDescr
 
 def rank_realizable(w: WedderburnReport, r: Fraction) -> bool:
     """Whether rank r is realized by a module over the algebra: n_i * r must
-    be an integer for every factor's matrix size n_i. Raises UnknownIndexError
-    when some factor's matrix size is uncertified, ValueError for a negative
-    r and TypeError for a float. Rank 0, the zero module, is realized."""
+    be an integer for every factor's matrix size n_i, as it is for an integral
+    r, rank 0 included. Raises UnknownIndexError for any other r when some
+    factor's size is uncertified, ValueError for a negative r and TypeError
+    for a float."""
     r = rat(r)
     if r < 0:
         raise ValueError("rank must be nonnegative")
+    if r.denominator == 1:
+        return True
     for i, factor in enumerate(w.factors):
         if factor.matrix_size is None:
             raise UnknownIndexError(

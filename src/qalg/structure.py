@@ -41,13 +41,12 @@ from ._record import record
 from .algebra import (
     FDAlgebra,
     QuotientPresentation,
-    Subspace,
     Vec,
     _memoized,
     quotient_by_ideal,
 )
 from .errors import InternalError, NotNilpotentError, NotSemisimpleError, NotSimpleError
-from .linalg import kernel_basis, minimal_polynomial
+from .linalg import Subspace, kernel_basis, minimal_polynomial
 from .poly import Poly
 from .polyfactor import Factorization, factor_rational
 

@@ -12,8 +12,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import qalg
 import qalg.algebra
 import qalg.corpus
+import qalg.linalg
 from qalg.algebra import (
     FDAlgebra,
     QuotientPresentation,
@@ -544,6 +546,25 @@ class TestMultiplication:
         assert m.is_idempotent(m.unit)
         assert not m.is_idempotent(m.basis_element(1))
 
+    @pytest.mark.parametrize("spec", fixtures(), ids=lambda spec: spec.name)
+    def test_multiply_is_one_by_one_matrix_product(self, spec, monkeypatch):
+        a = spec.build()
+        rng = random.Random(15)
+        calls = []
+        product = FDAlgebra._matrix_product
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return product(self, x, y)
+
+        monkeypatch.setattr(FDAlgebra, "_matrix_product", counted)
+        for _ in range(5):
+            ((x,),), ((y,),) = draw_matrix(rng, a, 1, 1, (1, 2, 3)), draw_matrix(rng, a, 1, 1, (1, 5))
+            calls.clear()
+            xy = a.multiply(x, y)
+            assert calls == [(((x,),), ((y,),))]
+            assert xy == a._pairwise_products((x,), (y,))[0][0]
+
 
 def draw_matrix(rng, a, rows, cols, dens=(1, 2)):
     """A rows x cols matrix over a with seeded entries n/d, d from dens."""
@@ -836,9 +857,13 @@ class TestTensorProduct:
 
 
 def table_names(source):
-    """Line numbers at which source names the private table _terms or _den:
-    as an attribute, a variable, an imported name or a string."""
-    names = {"_terms", "_den"}
+    """Line numbers at which source names the private table _terms or _den."""
+    return private_names(source, {"_terms", "_den"})
+
+
+def private_names(source, names):
+    """Line numbers at which source names one of names: as an attribute, a
+    variable, an imported name or a string."""
     hits = []
     for node in ast.walk(ast.parse(source)):
         if (
@@ -869,6 +894,32 @@ class TestTableOwner:
         ]
         assert not found
         assert table_names(Path(qalg.algebra.__file__).read_text())
+
+
+class TestEliminationOwner:
+    """Only qalg/linalg.py calls the elimination; other modules reach it
+    through rref, kernel_basis, minimal_polynomial and Subspace."""
+
+    ELIMINATION = {"_echelon", "_reduce", "_insert"}
+
+    def test_the_check_catches_each_way_of_naming_the_elimination(self):
+        for snippet in ("_echelon(rows)", "linalg._reduce", "from .linalg import _insert", "getattr(m, '_reduce')"):
+            assert private_names(snippet, self.ELIMINATION), snippet
+        assert not private_names("echelon(rows) + reduce_", self.ELIMINATION)
+
+    def test_no_other_module_names_the_elimination(self):
+        package = Path(qalg.linalg.__file__).parent
+        found = [
+            f"{path.name}:{line}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "linalg.py"
+            for line in private_names(path.read_text(), self.ELIMINATION)
+        ]
+        assert not found
+        assert private_names(Path(qalg.linalg.__file__).read_text(), self.ELIMINATION)
+
+    def test_subspace_is_one_class(self):
+        assert qalg.Subspace is qalg.algebra.Subspace is qalg.linalg.Subspace
 
 
 class TestQuotients:

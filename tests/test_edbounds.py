@@ -11,6 +11,7 @@ import pytest
 
 from qalg.algebra import direct_product, matrix_algebra, quaternions, upper_triangular
 from qalg.edbounds import (
+    MAX_PARTITION_RANK,
     CSADescriptor,
     EdBoundReport,
     Partition,
@@ -394,6 +395,12 @@ class TestPartitionEnumeration:
             assert c.attained
             assert c.witness.total() == r
             assert len(c.witness.parts) >= 2
+
+    def test_square_sum_check_caps_the_rank(self):
+        # Rank 30 has 5604 partitions; rank 100 would have about 1.9e8.
+        assert partition_square_sum_check(MAX_PARTITION_RANK).attained
+        with pytest.raises(ValueError, match=r"^rank 31 exceeds the partition enumeration cap 30$"):
+            partition_square_sum_check(31)
 
 
 class TestBundleModuli:

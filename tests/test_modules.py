@@ -177,8 +177,9 @@ class TestRefineToIdempotent:
             refine_to_idempotent(qp, (2, 5, 0))
 
     def test_element_is_refined_as_a_one_by_one_matrix(self, monkeypatch):
-        # One pass is a square and a cube of ((p,),), and the square of the
-        # result ends the loop.
+        # The precondition squares the class of p in the quotient; then one
+        # pass is a square and a cube of ((p,),), and the square of the result
+        # ends the loop. Every product, multiply's too, is a 1 x 1 matrix.
         a = matrix_over(dual_numbers(), 2)
         qp = radical_quotient(a)
         p0 = tuple(x + y for x, y in zip(a.basis_element(0), a.basis_element(1)))
@@ -191,23 +192,30 @@ class TestRefineToIdempotent:
 
         monkeypatch.setattr(FDAlgebra, "_matrix_product", counted)
         assert refine_to_idempotent(qp, p0) == (a.basis_element(0), 1)
-        assert len(calls) == 3
-        assert all(len(x) == 1 and len(x[0]) == 1 for x, _ in calls)
+        assert len(calls) == 4
+        assert all(len(m) == 1 and len(m[0]) == 1 for x, y in calls for m in (x, y))
 
 
 class TestClassCheckSurvivesOptimize:
     def test_refine_class_check_raises_under_python_o(self):
-        # FDAlgebra._matrix_product patched to return zero matrices: the loop
-        # refines the unit to 0, which is idempotent but not in the class of
-        # the unit modulo the radical of the dual numbers
+        # FDAlgebra._matrix_product patched to compute its first product, the
+        # precondition's square of the class in the quotient, and to return
+        # zero matrices after that: the loop refines the unit to 0, which is
+        # idempotent but not in the class of the unit modulo the radical of
+        # the dual numbers
         program = (
             "import qalg.modules\n"
             "from qalg.algebra import FDAlgebra, Subspace, dual_numbers, quotient_by_ideal\n"
             "from qalg.errors import InternalError\n"
             "a = dual_numbers()\n"
             "qp = quotient_by_ideal(a, Subspace(2, [[0, 1]]))\n"
-            "FDAlgebra._matrix_product = lambda self, x, y: tuple(\n"
-            "    tuple(self.zero() for _ in y[0]) for _ in x)\n"
+            "product, calls = FDAlgebra._matrix_product, []\n"
+            "def patched(self, x, y):\n"
+            "    calls.append(x)\n"
+            "    if len(calls) == 1:\n"
+            "        return product(self, x, y)\n"
+            "    return tuple(tuple(self.zero() for _ in y[0]) for _ in x)\n"
+            "FDAlgebra._matrix_product = patched\n"
             "try:\n"
             "    qalg.modules.refine_to_idempotent(qp, a.unit)\n"
             "except InternalError as exc:\n"
@@ -565,8 +573,9 @@ class TestRankRealizable:
         w = wedderburn_decomposition(quaternions(-1, -1))
         with pytest.raises(UnknownIndexError):
             rank_realizable(w, Fraction(1, 2))
-        with pytest.raises(UnknownIndexError):
-            rank_realizable(w, Fraction(1))
+        # n * r is an integer for every n when r is, so no size is read.
+        assert rank_realizable(w, Fraction(1))
+        assert rank_realizable(w, Fraction(0))
 
     def test_float_rank_rejected(self):
         # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10

@@ -5,8 +5,10 @@ fields and defaults, built here: the package itself does not import
 ``dataclasses``."""
 
 import ast
+import copy
 import dataclasses
 import inspect
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +23,13 @@ from qalg.linalg import Mat
 from qalg.modules import IdempotentMatrix, ProjectiveModuleDescriptor
 from qalg.poly import Poly
 from qalg.polyfactor import Factorization
-from qalg.structure import RadicalReport, SimpleFactorData, WedderburnReport
+from qalg.structure import (
+    RadicalReport,
+    SimpleFactorData,
+    WedderburnReport,
+    jacobson_radical,
+    wedderburn_decomposition,
+)
 
 # The immutable value classes that share the records' guard, one instance each.
 VALUES = {
@@ -210,6 +218,45 @@ def test_value_classes_compare_and_hash_by_key(name):
             assert value != VALUES[other]() and VALUES[other]() != value
     assert value != value._key() and value._key() != value
     assert hash(value) == hash(value._key()) == hash(value) == hash(same)
+
+
+# Values that copy and pickle must rebuild: each value class, a matrix with no
+# rows, and reports that hold values.
+COPIED = {
+    **VALUES,
+    "Mat/no rows": lambda: Mat([], 3),
+    "WedderburnReport": lambda: wedderburn_decomposition(qalg.matrix_algebra(2)),
+    "RadicalReport": lambda: jacobson_radical(qalg.upper_triangular(3)),
+    "EdBoundReport": lambda: qalg.bundle_moduli_ed(2, 2, 1, assume_ckm=True),
+}
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+}
+
+
+@pytest.mark.parametrize("how", COPIES)
+@pytest.mark.parametrize("name", COPIED)
+def test_copy_and_pickle_rebuild_an_equal_value(name, how):
+    value = COPIED[name]()
+    hash(value)  # a value class keeps it in _hash; the copy computes its own
+    again = COPIES[how](value)
+    assert type(again) is type(value)
+    assert again == value and hash(again) == hash(value)
+    if isinstance(again, Frozen):
+        with pytest.raises(AttributeError, match="^cannot assign"):
+            setattr(again, type(again).__slots__[0], 0)
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_copied_algebra_gets_its_own_memo(how):
+    a = qalg.matrix_algebra(2)
+    assert wedderburn_decomposition(a).semisimple_quotient is a
+    b = COPIES[how](a)
+    assert b._memo is not a._memo and b._memo == {}
+    assert wedderburn_decomposition(b).semisimple_quotient is b
+    assert wedderburn_decomposition(a).semisimple_quotient is a
 
 
 def frozen_rule_sites(source):
