@@ -44,11 +44,11 @@ def rat_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse 'a' or 'a/b' (optional sign, decimal digits) into a Fraction."""
+    """Parse 'a' or 'a/b' (optional sign, ASCII digits 0-9) into a Fraction."""
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {type(s).__name__}")
     match = _RATIONAL.fullmatch(s.strip())

@@ -5,8 +5,8 @@ one modular step shared with factor_mod_p (Berlekamp modulo the least odd
 prime that keeps it squarefree), quadratic Hensel lifting past the Mignotte
 bound, subset recombination, and multiplicities counted by division. Every
 step is deterministic: primes are tried in increasing order, Berlekamp splits
-with kernel basis vectors and shifts c = 0, 1, ..., p-1 in order, and factor
-lists are sorted by degree then coefficients.
+every factor by the shifts c = 0, ..., p-1 of each non-constant kernel vector
+in one loop, and factor lists are sorted by degree then coefficients.
 
 The package's integer factoring lives here too: one trial division,
 _least_factor, serves is_prime, prime_factors and vp.
@@ -15,7 +15,7 @@ _least_factor, serves is_prime, prime_factors and vp.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt, lcm
 
 from ._record import record
@@ -60,15 +60,10 @@ def _z_add(a: list[int], b: list[int]) -> list[int]:
 
 
 def _z_sub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _z_trim(out)
+    return _z_add(a, [-c for c in b])
 
 
 def _z_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -82,7 +77,8 @@ def _z_mod(a: list[int], m: int) -> list[int]:
 
 
 def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder mod p, where b's leading coefficient is a unit."""
+    """Quotient and remainder mod p of any integer polynomial a, with every
+    coefficient in [0, p), where b's leading coefficient is a unit."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     rem = list(a)
@@ -91,12 +87,12 @@ def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
         return [], _z_mod(rem, p)
     inv = pow(b[-1], -1, p)
     quo = [0] * (da - db + 1)
+    # No step is skipped for c = 0: the steps reduce every coefficient of a.
     for k in range(da - db, -1, -1):
         c = (rem[k + db] * inv) % p
         quo[k] = c
-        if c:
-            for i, y in enumerate(b):
-                rem[k + i] = (rem[k + i] - c * y) % p
+        for i, y in enumerate(b):
+            rem[k + i] = (rem[k + i] - c * y) % p
     return _z_trim(quo), _z_trim(rem)
 
 
@@ -123,8 +119,6 @@ def _gf_extgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
         r0, r1 = r1, r
         s0, s1 = s1, _z_mod(_z_sub(s0, _z_mul(q, s1)), p)
         t0, t1 = t1, _z_mod(_z_sub(t0, _z_mul(q, t1)), p)
-    if not r0:
-        return [], s0, t0
     inv = pow(r0[-1], -1, p)
     scale = lambda v: [(c * inv) % p for c in v]
     return scale(r0), scale(s0), scale(t0)
@@ -135,8 +129,8 @@ def _gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     cur = _gf_divmod(base, mod, p)[1]
     while e > 0:
         if e & 1:
-            result = _gf_divmod(_z_mod(_z_mul(result, cur), p), mod, p)[1]
-        cur = _gf_divmod(_z_mod(_z_mul(cur, cur), p), mod, p)[1]
+            result = _gf_divmod(_z_mul(result, cur), mod, p)[1]
+        cur = _gf_divmod(_z_mul(cur, cur), mod, p)[1]
         e >>= 1
     return result
 
@@ -185,7 +179,7 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     cur = [1]
     for i in range(n):
         if i > 0:
-            cur = _gf_divmod(_z_mod(_z_mul(cur, xp), p), f, p)[1]
+            cur = _gf_divmod(_z_mul(cur, xp), f, p)[1]
         rows.append(list(cur) + [0] * (n - len(cur)))
     # Frobenius-fixed subalgebra: row vectors v with v Q = v, found as the
     # null space of (Q - I) transposed.
@@ -194,31 +188,22 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     r = len(kern)
     if r < 1:
         raise InternalError("Berlekamp kernel is empty")
-    if r == 1:
-        return [f]
+    # kern[0] is the constant 1: row 0 of Q is x^0, so column 0 of (Q - I)
+    # transposed is zero and is the first free column. Its shifts split nothing.
     factors = [f]
-    for v in kern:
-        g = _z_trim(list(v))
-        if len(g) <= 1:
-            continue
-        for c in range(p):
-            if len(factors) == r:
-                break
-            shifted = _z_mod(_z_sub(g, [c]), p)
-            nxt = []
-            for u in factors:
-                if len(u) - 1 <= 1:
-                    nxt.append(u)
-                    continue
-                d = _gf_gcd(u, shifted, p)
-                if 0 < len(d) - 1 < len(u) - 1:
-                    nxt.append(d)
-                    nxt.append(_gf_divmod(u, d, p)[0])
-                else:
-                    nxt.append(u)
-            factors = nxt
+    for g, c in product(kern[1:], range(p)):
         if len(factors) == r:
             break
+        shifted = _z_mod(_z_sub(g, [c]), p)
+        nxt = []
+        for u in factors:
+            # A linear factor is irreducible: skip its gcd.
+            d = _gf_gcd(u, shifted, p) if len(u) > 2 else u
+            if 0 < len(d) - 1 < len(u) - 1:
+                nxt += [d, _gf_divmod(u, d, p)[0]]
+            else:
+                nxt.append(u)
+        factors = nxt
     if len(factors) != r:
         raise InternalError("Berlekamp splitting found fewer factors than the kernel dimension")
     return [_gf_monic(u, p) for u in factors]
@@ -320,8 +305,6 @@ def _z_divmod_monic(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
         raise InternalError("divisor is not monic")
     rem = list(a)
     db, da = len(b) - 1, len(a) - 1
-    if da < db:
-        return [], _z_trim(rem)
     quo = [0] * (da - db + 1)
     for k in range(da - db, -1, -1):
         c = rem[k + db]
@@ -425,8 +408,7 @@ def _factor_squarefree_monic(s: Poly) -> list[Poly]:
                 break
         else:
             size += 1
-    if len(t_remaining) - 1 > 0:
-        found_t.append(t_remaining)
+    found_t.append(t_remaining)
 
     # Undo the monic transform: a factor g(x) of T corresponds to the monic
     # rational factor of s with coefficients g_k * l^(k - deg g).

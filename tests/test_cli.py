@@ -355,9 +355,11 @@ class TestEdFormulas:
         code, _, _ = run(capsys, "ed", "csa", "--deg", "2", "--rank", "3/2")
         assert code == 2
 
-    def test_csa_bad_rank_string(self, capsys):
-        code, _, err = run(capsys, "ed", "csa", "--deg", "2", "--rank", "0.5")
-        assert code == 2
+    # Arabic-Indic and fullwidth digits: int() reads them, a rational string may not.
+    @pytest.mark.parametrize("rank", ["0.5", "\u0661/\u0664", "\uff11/\uff14"])
+    def test_csa_bad_rank_string(self, capsys, rank):
+        code, _, err = run(capsys, "ed", "csa", "--deg", "6", "--rank", rank)
+        assert (code, err) == (2, f"error: --rank: not a rational: {rank!r}\n")
 
     def test_division_byte_exact(self, capsys):
         code, out, _ = run(capsys, "ed", "division", "--deg", "6", "--d", "6", "--json")

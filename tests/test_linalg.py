@@ -28,10 +28,12 @@ from oracles import reference_matrix_product, reference_poly_at_matrix, referenc
 
 def reference_rat_from_str(s):
     """The two-pass parser qalg.linalg.rat_from_str replaced, kept as an
-    oracle: a syntax check by regex, then Fraction's own string parser."""
+    oracle: a syntax check by regex, then Fraction's own string parser. The
+    check admits ASCII digits only: Fraction and int() read every Unicode
+    decimal digit."""
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {type(s).__name__}")
-    if not re.fullmatch(r"[+-]?\d+(/\d+)?", s.strip()):
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", s.strip()):
         raise ValueError(f"not a rational: {s!r}")
     try:
         return Fraction(s.strip())
@@ -127,6 +129,11 @@ class TestRationals:
             else:
                 got = rat_from_str(s)
                 assert type(got) is Fraction and got == expected, s
+
+    @pytest.mark.parametrize("s", ["\u0661\u0662", "\uff11/\uff12", "1/\u0662", "\u0663"])
+    def test_rat_from_str_rejects_non_ascii_digits(self, s):
+        with pytest.raises(ValueError, match="not a rational"):
+            rat_from_str(s)
 
     def test_as_vector_checks_length(self):
         assert as_vector([1, "1/2"], 2) == (Fraction(1), Fraction(1, 2))
